@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -74,9 +74,31 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+    def from_dict(cls, data) -> "RunConfig":
+        """Rebuild a config from a manifest; unknown keys are ignored.
+
+        Raises ValueError naming the offending field when data is not an
+        object, the command is missing or unknown, or a value's type does not
+        match its field's (an int is accepted for a float field).
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {type(data).__name__}")
+        if data.get("command") not in _COMMANDS:
+            raise ValueError(f"config field 'command' must be one of {', '.join(_COMMANDS)}, "
+                             f"got {data.get('command')!r}")
+        values = {}
+        for name, hint in get_type_hints(cls).items():
+            if name not in data:
+                continue
+            value = data[name]
+            allowed = get_args(hint) or (hint,)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config field {name!r} must be "
+                                 f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+            values[name] = float(value) if hint is float else value
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +474,10 @@ def main(argv=None) -> int:
         try:
             with open(args.manifest) as fh:
                 payload = json.load(fh)
-            config = RunConfig.from_dict(payload["config"])
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            if not isinstance(payload, dict):
+                raise ValueError(f"manifest must be an object, got {type(payload).__name__}")
+            config = RunConfig.from_dict(payload.get("config"))
+        except (OSError, ValueError) as exc:
             print(f"error: unreadable manifest {args.manifest!r}: {exc}", file=sys.stderr)
             return 2
         return run(config)

@@ -172,3 +172,16 @@ def test_resonances_csv_schema(tmp_path):
     fields = [float(x) for x in lines[1].split(",")]
     assert abs(fields[0] - 1.0959) < 2e-3
     assert abs(fields[1] + 0.1545) < 2e-3
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"config": {"h": 0.05, "out": "x.csv"}}, "'command'"),
+    ({"config": ["disk-oracle", 0.05]}, "config must be an object"),
+    ({"config": {"command": "billiards", "steps": "abc"}}, "'steps'"),
+    (["disk-oracle", 0.05], "manifest must be an object"),
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, payload, message):
+    manifest = tmp_path / "bad.manifest.json"
+    manifest.write_text(json.dumps(payload))
+    assert run_cli(["from-manifest", str(manifest)]) == 2
+    assert message in capsys.readouterr().err

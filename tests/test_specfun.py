@@ -150,6 +150,14 @@ def test_hankel_against_mpmath(rng):
         mine = specfun.hankel1(n, z)
         ref = complex(mp.hankel1(n, mp.mpc(z)))
         assert abs(mine - ref) <= 1e-10 * abs(ref)
+        # the quadruple, derivatives included, against an independent reference
+        ev = specfun.bessel_quad(n, z)
+        zm = mp.mpc(z)
+        for deriv, j_val, h_val in ((0, ev.J, ev.H1), (1, ev.Jp, ev.H1p)):
+            j_ref = complex(mp.besselj(n, zm, derivative=deriv))
+            h_ref = j_ref + 1j * complex(mp.bessely(n, zm, derivative=deriv))
+            assert abs(j_val - j_ref) <= 1e-10 * abs(j_ref)
+            assert abs(h_val - h_ref) <= 1e-10 * abs(h_ref)
 
 
 def test_region_and_budget_errors():
