@@ -50,7 +50,7 @@ class ZeroArgumentError(SabineLabError):
 
 
 class RecurrenceBudgetError(SabineLabError):
-    """Requested order exceeds the order budget, or a row leaves double range."""
+    """Requested order exceeds the order budget, or H_n leaves double range."""
 
 
 class NewtonConditionError(SabineLabError):

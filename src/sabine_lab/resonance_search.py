@@ -10,8 +10,6 @@ residual and conditioning thresholds before being reported as resonances.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +28,6 @@ _SIMPLEX_DIAMETER = 1e-8
 def accept_tolerance(quad_n: int) -> float:
     """Residual gate scaled with discretization: 1e-3 * (256 / N)."""
     return 1e-3 * (256.0 / quad_n)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SABINE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -92,34 +82,16 @@ class ScanField:
 
 
 def scan(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSpec) -> ScanField:
-    """Evaluate the boundary-operator conditioning on the full coarse grid.
-
-    Cells are independent; the number of worker threads is capped by the
-    SABINE_LAB_THREADS environment variable and results are written by cell
-    index, so the field is deterministic regardless of scheduling.
-    """
+    """Evaluate the boundary-operator conditioning on the full coarse grid."""
     nx, ny = window.coarse_grid
     re = np.linspace(window.re_range[0], window.re_range[1], nx)
     im = np.linspace(window.im_range[0], window.im_range[1], ny)
     grid = NystromGrid.build(curve, window.quad_n)
     sig = np.empty((nx, ny))
     cond = np.empty((nx, ny))
-
-    def cell(args):
-        i, j = args
-        res = sigma_min_boundary_operator(grid, complex(re[i], im[j]), window.h, pot)
-        return i, j, res
-
-    cells = [(i, j) for i in range(nx) for j in range(ny)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, j, res in pool.map(cell, cells):
-                sig[i, j] = res.sigma_min
-                cond[i, j] = res.cond
-    else:
-        for args in cells:
-            i, j, res = cell(args)
+    for i in range(nx):
+        for j in range(ny):
+            res = sigma_min_boundary_operator(grid, complex(re[i], im[j]), window.h, pot)
             sig[i, j] = res.sigma_min
             cond[i, j] = res.cond
     return ScanField(window=window, re=re, im=im, sigma_min=sig, cond=cond)
@@ -230,12 +202,7 @@ def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSp
         except (NotAResonanceError, RefinementDriftError):
             return None
 
-    workers = _worker_count()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(refine_seed, seeds))
-    else:
-        results = [refine_seed(seed) for seed in seeds]
+    results = [refine_seed(seed) for seed in seeds]
     accepted = [cand for cand in results
                 if cand is not None and window.contains(cand.z, margin=0.0)]
     accepted.sort(key=lambda c: (c.z.real, c.z.imag))

@@ -5,9 +5,9 @@ The scalar functions (``bessel_j``, ``hankel1``, ``bessel_j_deriv``,
 ``hankel1`` and ``hankel2``, which wrap the AMOS routines (D. E. Amos, ACM
 TOMS 12 (1986) 265-273), behind the lab's guards: arguments must lie in the
 validated strip Re z in (0, 2000], |Im z| <= 50 (``RegionError``), orders
-above 4|z| + 200 are refused and rows that leave double range are reported
-(``RecurrenceBudgetError``).  Derivatives come from the neighbour identity
-J_n' = (J_{n-1} - J_{n+1})/2.
+above 4|z| + 200 are refused and Hankel values that leave double range are
+reported (``RecurrenceBudgetError``).  Derivatives come from the neighbour
+identity J_n' = (J_{n-1} - J_{n+1})/2.
 
 ``j0_h0_arrays`` is the in-house vectorized order-0 pair for kernel
 assembly: plain-double series and large-argument Hankel expansions, banded
@@ -99,6 +99,14 @@ def _budget(n: int, z: complex) -> None:
         )
 
 
+def _representable(n: int, z: complex, h: complex, hp: complex = 0j) -> None:
+    """Refuse H_n(z) and H_n'(z) values that left double range (nan or inf)."""
+    if not (cmath.isfinite(h) and cmath.isfinite(hp)):
+        raise RecurrenceBudgetError(
+            f"H_{n}({z}) exceeds double range; not representable"
+        )
+
+
 def _deriv(row: list, i: int) -> complex:
     """d/dz of row[i] by the neighbour identity; i == 0 means order 0."""
     if i == 0:
@@ -121,7 +129,9 @@ def hankel1(n: int, z: complex) -> complex:
     n = _require_order(n)
     z = _check_region(z)
     _budget(n, z)
-    return complex(special.hankel1(n, z))
+    value = complex(special.hankel1(n, z))
+    _representable(n, z, value)
+    return value
 
 
 def bessel_j_deriv(n: int, z: complex) -> complex:
@@ -145,8 +155,10 @@ def bessel_quad(n: int, z: complex) -> BesselEval:
     lo = max(n - 1, 0)
     jrow, hrow = _j_h1(lo, n + 1, z)
     i = n - lo
+    hp = _deriv(hrow, i)
+    _representable(n, z, hrow[i], hp)
     return BesselEval(n=n, z=z, J=jrow[i], Jp=_deriv(jrow, i),
-                      H1=hrow[i], H1p=_deriv(hrow, i))
+                      H1=hrow[i], H1p=hp)
 
 
 def bessel_row(n_max: int, z: complex) -> list[BesselEval]:
@@ -158,10 +170,7 @@ def bessel_row(n_max: int, z: complex) -> list[BesselEval]:
     out = []
     for n in range(n_max + 1):
         hp = _deriv(hrow, n)
-        if not (cmath.isfinite(hrow[n]) and cmath.isfinite(hp)):
-            raise RecurrenceBudgetError(
-                f"H_{n}({z}) exceeds double range; row not representable"
-            )
+        _representable(n, z, hrow[n], hp)
         out.append(BesselEval(n=n, z=z, J=jrow[n], Jp=_deriv(jrow, n),
                               H1=hrow[n], H1p=hp))
     return out

@@ -55,6 +55,24 @@ def test_matrix_symmetry(unit_circle, ellipse21):
         assert np.max(np.abs(sym - sym.T)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_entries_match_per_entry_kernel(unit_circle, ellipse21, stadium11):
+    # every off-diagonal entry rebuilt from its own node distance
+    for curve in (unit_circle, ellipse21, stadium11):
+        for N, lam in ((96, 7.0), (128, 20.0 - 1.5j)):
+            grid = bie.NystromGrid.build(curve, N)
+            mat = bie.assemble_single_layer(grid, lam)
+            i, j = np.nonzero(~np.eye(N, dtype=bool))
+            r = np.linalg.norm(grid.points[i] - grid.points[j], axis=1)
+            j0, h0 = specfun.j0_h0_arrays(lam * r)
+            speed = curve.total_length / (2 * np.pi)
+            k1 = -(0.25 / np.pi) * speed * j0
+            k2 = 0.25j * speed * h0 - k1 * np.log(4 * np.sin(np.pi * (i - j) / N) ** 2)
+            ref = bie._log_quadrature_weights(N)[(i - j) % N] * k1 + (2 * np.pi / N) * k2
+            err = np.max(np.abs(mat.entries[i, j] - ref))
+            assert err <= 1e-11 * np.max(np.abs(mat.entries))
+
+
 def test_eigenvalue_stable_under_doubling(unit_circle):
     vals = []
     for N in (128, 256):

@@ -1,12 +1,13 @@
 """Boundary curves: parametrization, metrics and ray tracing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from sabine_lab.errors import TangentLaunchError, UnsupportedCurveKindError
 from sabine_lab.geometry import BoundaryCurve
@@ -25,6 +26,16 @@ def test_closure(unit_circle, ellipse21, stadium11):
         a = curve.point_at(0.0).position
         b = curve.point_at(curve.total_length).position
         assert np.linalg.norm(a - b) < 1e-12
+
+
+def test_ellipse_builds_silently_with_closed_form_length():
+    # the arclength self-check must not warn on elongated ellipses
+    for a in (3.0, 10.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = BoundaryCurve.ellipse(a, 1.0)
+        exact = 4.0 * a * special.ellipe(1.0 - 1.0 / a**2)
+        assert abs(curve.total_length - exact) < 1e-12 * exact
 
 
 def test_ellipse_curvature_matches_finite_differences(ellipse21):

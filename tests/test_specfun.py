@@ -175,6 +175,10 @@ def test_row_budget_overflow_is_reported():
     # legal order budget but H leaves double range
     with pytest.raises(RecurrenceBudgetError):
         specfun.bessel_row(204, 1.0 + 0j)
+    with pytest.raises(RecurrenceBudgetError):
+        specfun.bessel_quad(150, 1.0)
+    with pytest.raises(RecurrenceBudgetError):
+        specfun.hankel1(150, 1.0)
 
 
 def test_vectorized_order0_matches_scalar():
