@@ -17,7 +17,6 @@ from .billiards import (  # noqa: F401
     sabine_diameter_bound,
     sabine_gap,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances  # noqa: F401
 from .disk_oracle import (  # noqa: F401
     ModeIndex,
     ResonanceCandidate,

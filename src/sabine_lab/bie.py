@@ -56,16 +56,7 @@ class NystromGrid:
     def nodes(self) -> list[SurfacePoint]:
         if self._node_cache is None:
             data = self.curve.point_many(self.s)
-            self._node_cache = [
-                SurfacePoint(
-                    s=float(self.s[i]),
-                    position=data["position"][i],
-                    unit_tangent=data["tangent"][i],
-                    outward_normal=data["normal"][i],
-                    curvature=float(data["curvature"][i]),
-                )
-                for i in range(self.N)
-            ]
+            self._node_cache = [SurfacePoint.from_data(data, i) for i in range(self.N)]
         return self._node_cache
 
 

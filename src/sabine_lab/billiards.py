@@ -120,10 +120,9 @@ def _step_arrays(curve: BoundaryCurve, s, xi):
     # renormalize: the eps-level length bias would otherwise accumulate
     # linearly in the tangential momentum over long orbits
     direction /= np.sqrt(np.sum(direction * direction, axis=1))[:, None]
-    s_next, travel = curve._ray_exit_many(data["position"], direction)
-    arrive = curve.point_many(s_next)
+    arrive, travel = curve._ray_exit_many(data["position"], direction)
     xi_next = np.sum(direction * arrive["tangent"], axis=1)
-    return s_next, xi_next, travel
+    return arrive["s"], xi_next, travel
 
 
 def billiard_step(curve: BoundaryCurve, q: PhasePoint) -> OrbitSegment:

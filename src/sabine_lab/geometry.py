@@ -5,8 +5,11 @@ Supported kinds: circle, ellipse (a >= b > 0) and the Bunimovich stadium
 Circle and ellipse are smooth and strictly convex; the stadium is the C^{1,1}
 case with curvature jumps at the four cap junctions.
 
-All objects are immutable after construction; the ellipse builds its
-arclength tables eagerly so every method is safe for concurrent reads.
+The ellipse x = a cos t, y = b sin t has arclength s(t) = b E(t | 1 - a^2/b^2),
+the incomplete elliptic integral of the second kind (DLMF 19.2.5); the inverse
+t(s) is a monotone spline through s(t) at equispaced angles, polished by two
+Newton steps.  All objects are immutable after construction, so every method
+is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import TangentLaunchError, UnsupportedCurveKindError
 
-_ELLIPSE_TABLE_NODES = 4096
-# 10-point Gauss-Legendre rule on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
+# relative to max(1, perimeter): the shortest travel a ray exit accepts (so a
+# boundary launch does not re-hit its own origin) and the arclength window
+# around a stadium junction that carries the cap curvature
+_GEOMETRIC_TOL = 1e-12
+_ELLIPSE_SPLINE_INTERVALS = 4096
 
 
 class CurveKind(enum.Enum):
@@ -46,6 +48,17 @@ class SurfacePoint:
     outward_normal: np.ndarray
     curvature: float
 
+    @classmethod
+    def from_data(cls, data: dict, i: int) -> "SurfacePoint":
+        """Entry i of a point_many-style dict of point arrays."""
+        return cls(
+            s=float(data["s"][i]),
+            position=data["position"][i],
+            unit_tangent=data["tangent"][i],
+            outward_normal=data["normal"][i],
+            curvature=float(data["curvature"][i]),
+        )
+
 
 class RayHit(NamedTuple):
     point: SurfacePoint
@@ -60,10 +73,9 @@ class BoundaryCurve:
     fixed handedness along the curve.
     """
 
-    def __init__(self, kind: CurveKind, params: dict, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, kind: CurveKind, params: dict):
         self.kind = kind
         self.params = dict(params)
-        self.tol = tol
         if kind is CurveKind.CIRCLE:
             r = float(params["radius"])
             if r <= 0:
@@ -73,7 +85,16 @@ class BoundaryCurve:
             a, b = float(params["a"]), float(params["b"])
             if not (a >= b > 0):
                 raise ValueError("ellipse requires a >= b > 0")
-            self._build_ellipse_tables(a, b)
+            # s(t) = b E(t | m) with the parameter m = 1 - a^2/b^2 <= 0 is one
+            # integral from t = 0, so s(0) = 0 and s(2pi) = total_length
+            # exactly, and it holds for every real t (s(t + 2pi) = s(t) +
+            # total_length).  The form a (E(t - pi/2 | 1 - b^2/a^2) + E(1 -
+            # b^2/a^2)) subtracts two equal terms at t = 0 and cancels there:
+            # it gives angle_of_arclength(0) = -4.4e-16 on the 2:1 ellipse.
+            self._m = 1.0 - (a / b) ** 2
+            self.total_length = 4.0 * b * float(special.ellipe(self._m))
+            t = np.linspace(0.0, 2.0 * math.pi, _ELLIPSE_SPLINE_INTERVALS + 1)
+            self._t_of_s_interp = PchipInterpolator(self._s_of_t(t), t)
         elif kind is CurveKind.STADIUM:
             l, rho = float(params["half_length"]), float(params["cap_radius"])
             if l <= 0 or rho <= 0:
@@ -85,20 +106,19 @@ class BoundaryCurve:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def circle(cls, radius: float = 1.0, tol: Tolerances = DEFAULT_TOLERANCES) -> "BoundaryCurve":
-        return cls(CurveKind.CIRCLE, {"radius": radius}, tol)
+    def circle(cls, radius: float = 1.0) -> "BoundaryCurve":
+        return cls(CurveKind.CIRCLE, {"radius": radius})
 
     @classmethod
-    def ellipse(cls, a: float, b: float, tol: Tolerances = DEFAULT_TOLERANCES) -> "BoundaryCurve":
-        return cls(CurveKind.ELLIPSE, {"a": a, "b": b}, tol)
+    def ellipse(cls, a: float, b: float) -> "BoundaryCurve":
+        return cls(CurveKind.ELLIPSE, {"a": a, "b": b})
 
     @classmethod
-    def stadium(cls, half_length: float, cap_radius: float,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> "BoundaryCurve":
-        return cls(CurveKind.STADIUM, {"half_length": half_length, "cap_radius": cap_radius}, tol)
+    def stadium(cls, half_length: float, cap_radius: float) -> "BoundaryCurve":
+        return cls(CurveKind.STADIUM, {"half_length": half_length, "cap_radius": cap_radius})
 
     @classmethod
-    def from_spec(cls, spec: str, tol: Tolerances = DEFAULT_TOLERANCES) -> "BoundaryCurve":
+    def from_spec(cls, spec: str) -> "BoundaryCurve":
         """Parse a CLI curve string: "circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"."""
         try:
             kind, _, rest = spec.partition(":")
@@ -107,11 +127,11 @@ class BoundaryCurve:
                 key, _, val = item.partition("=")
                 fields[key.strip()] = float(val)
             if kind == "circle":
-                return cls.circle(fields["r"], tol)
+                return cls.circle(fields["r"])
             if kind == "ellipse":
-                return cls.ellipse(fields["a"], fields["b"], tol)
+                return cls.ellipse(fields["a"], fields["b"])
             if kind == "stadium":
-                return cls.stadium(fields["l"], fields["r"], tol)
+                return cls.stadium(fields["l"], fields["r"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"unparseable curve spec {spec!r}: {exc}") from None
         raise ValueError(f"unknown curve kind in spec {spec!r} "
@@ -128,41 +148,15 @@ class BoundaryCurve:
     def is_strictly_convex(self) -> bool:
         return self.kind is not CurveKind.STADIUM
 
-    # -- ellipse tables ------------------------------------------------------
+    # -- ellipse parametrization -------------------------------------------
 
-    def _build_ellipse_tables(self, a: float, b: float) -> None:
-        def speed(t):
-            return np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
-
-        n = _ELLIPSE_TABLE_NODES
-        t_edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-        dt = t_edges[1] - t_edges[0]
-        # composite Gauss-Legendre of the speed on each table interval
-        tq = t_edges[:-1, None] + dt * _GL_X[None, :]
-        seg = dt * (speed(tq) @ _GL_W)
-        s_edges = np.concatenate([[0.0], np.cumsum(seg)])
-        total = float(s_edges[-1])
-
-        ref = 4.0 * a * special.ellipe(1.0 - (b / a) ** 2)   # perimeter 4a E(e^2)
-        if abs(total - ref) > 1e-12 * max(1.0, total):  # pragma: no cover
-            raise AssertionError("ellipse arclength table disagrees with the closed form")
-
-        self.total_length = total
-        self._t_edges = t_edges
-        self._s_edges = s_edges
-        self._dt = dt
-        self._t_of_s_interp = PchipInterpolator(s_edges, t_edges)
-        self._speed = speed
+    def _speed(self, t):
+        """Ellipse speed |d(a cos t, b sin t)/dt|."""
+        return np.hypot(self.params["a"] * np.sin(t), self.params["b"] * np.cos(t))
 
     def _s_of_t(self, t):
-        """Arclength of ellipse parameter t (vectorized, table + partial GL)."""
-        t = np.mod(np.asarray(t, dtype=float), 2.0 * math.pi)
-        idx = np.minimum((t / self._dt).astype(int), _ELLIPSE_TABLE_NODES - 1)
-        t0 = self._t_edges[idx]
-        rem = t - t0
-        tq = t0[..., None] + rem[..., None] * _GL_X
-        partial = rem * (self._speed(tq) @ _GL_W)
-        return self._s_edges[idx] + partial
+        """Arclength of ellipse parameter t, for any real t (vectorized)."""
+        return self.params["b"] * special.ellipeinc(t, self._m)
 
     def _t_of_s(self, s):
         """Ellipse parameter of arclength s: monotone spline + Newton polish."""
@@ -176,18 +170,13 @@ class BoundaryCurve:
 
     def point_at(self, s: float) -> SurfacePoint:
         """Boundary point at arclength s (wrapped modulo total_length)."""
-        data = self.point_many(np.array([float(s)]))
-        return SurfacePoint(
-            s=float(data["s"][0]),
-            position=data["position"][0],
-            unit_tangent=data["tangent"][0],
-            outward_normal=data["normal"][0],
-            curvature=float(data["curvature"][0]),
-        )
+        return SurfacePoint.from_data(self.point_many(np.array([float(s)])), 0)
 
     def point_many(self, s) -> dict:
         """Vectorized point data for an array of arclengths."""
         s = np.mod(np.asarray(s, dtype=float), self.total_length)
+        if self.kind is CurveKind.ELLIPSE:
+            return self._ellipse_arrays(s, self._t_of_s(s))
         if self.kind is CurveKind.CIRCLE:
             r = self.params["radius"]
             t = s / r
@@ -196,18 +185,19 @@ class BoundaryCurve:
             nor = np.stack([ct, st], axis=-1)
             tan = np.stack([-st, ct], axis=-1)
             kap = np.full_like(s, 1.0 / r)
-        elif self.kind is CurveKind.ELLIPSE:
-            a, b = self.params["a"], self.params["b"]
-            t = self._t_of_s(s)
-            ct, st = np.cos(t), np.sin(t)
-            sp = self._speed(t)
-            pos = np.stack([a * ct, b * st], axis=-1)
-            tan = np.stack([-a * st / sp, b * ct / sp], axis=-1)
-            nor = np.stack([b * ct / sp, a * st / sp], axis=-1)
-            kap = a * b / sp**3
         else:
             pos, tan, nor, kap = self._stadium_point_arrays(s)
         return {"s": s, "position": pos, "tangent": tan, "normal": nor, "curvature": kap}
+
+    def _ellipse_arrays(self, s, t):
+        """point_many data of the ellipse points with arclength s and angle t."""
+        a, b = self.params["a"], self.params["b"]
+        ct, st = np.cos(t), np.sin(t)
+        sp = self._speed(t)
+        pos = np.stack([a * ct, b * st], axis=-1)
+        tan = np.stack([-a * st / sp, b * ct / sp], axis=-1)
+        nor = np.stack([b * ct / sp, a * st / sp], axis=-1)
+        return {"s": s, "position": pos, "tangent": tan, "normal": nor, "curvature": a * b / sp**3}
 
     def _stadium_point_arrays(self, s):
         l = self.params["half_length"]
@@ -246,7 +236,7 @@ class BoundaryCurve:
         nor[m] = np.tile([0.0, -1.0], (x.size, 1))
 
         # junction parameters carry the one-sided cap curvature
-        eps = self.tol.geometric * max(1.0, self.total_length)
+        eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
         for junction in (0.0, b1, b2, b3, self.total_length):
             kap[np.abs(s - junction) < eps] = 1.0 / rho
         return pos, tan, nor, kap
@@ -265,13 +255,9 @@ class BoundaryCurve:
                 "arclength_of_angle is undefined for the stadium; it is natively "
                 "arclength-parametrized piecewise"
             )
-        turns = math.floor(float(t) / (2.0 * math.pi))
-        frac = float(t) - 2.0 * math.pi * turns
         if self.kind is CurveKind.CIRCLE:
-            s_frac = self.params["radius"] * frac
-        else:
-            s_frac = float(self._s_of_t(frac))
-        return turns * self.total_length + s_frac
+            return self.params["radius"] * float(t)
+        return float(self._s_of_t(float(t)))
 
     def angle_of_arclength(self, s: float) -> float:
         """Inverse of arclength_of_angle."""
@@ -317,23 +303,27 @@ class BoundaryCurve:
         if nrm == 0.0:
             raise TangentLaunchError("zero direction vector")
         d = d / nrm
-        s_exit, travel = self._ray_exit_many(o[None, :], d[None, :])
-        return RayHit(self.point_at(float(s_exit[0])), float(travel[0]) * 1.0)
+        data, travel = self._ray_exit_many(o[None, :], d[None, :])
+        return RayHit(SurfacePoint.from_data(data, 0), float(travel[0]))
 
     def _ray_exit_many(self, origins, directions):
-        """Vectorized ray exits; origins (N,2), unit directions (N,2)."""
+        """Vectorized ray exits; origins (N,2), unit directions (N,2).
+
+        Returns (data, travel): data is the point_many dict of the exit
+        points and travel the distance to them.  The ellipse builds data from
+        the hit angle, so no arclength is inverted.
+        """
         o = np.asarray(origins, dtype=float)
         d = np.asarray(directions, dtype=float)
-        eps = self.tol.geometric
-        scale = max(1.0, self.total_length)
+        tmin = _GEOMETRIC_TOL * max(1.0, self.total_length)
         if self.kind is CurveKind.CIRCLE:
             r = self.params["radius"]
             b = np.sum(o * d, axis=1)
             c = np.sum(o * o, axis=1) - r * r
-            travel = self._positive_quadratic_root(np.ones_like(b), b, c, eps * scale)
+            travel = self._positive_quadratic_root(np.ones_like(b), b, c, tmin)
             hit = o + travel[:, None] * d
             s = np.mod(np.arctan2(hit[:, 1], hit[:, 0]), 2 * math.pi) * r
-            return s, travel
+            return self.point_many(s), travel
         if self.kind is CurveKind.ELLIPSE:
             a, bb = self.params["a"], self.params["b"]
             os_ = o / np.array([a, bb])
@@ -341,11 +331,12 @@ class BoundaryCurve:
             qa = np.sum(ds_ * ds_, axis=1)
             qb = np.sum(os_ * ds_, axis=1)
             qc = np.sum(os_ * os_, axis=1) - 1.0
-            travel = self._positive_quadratic_root(qa, qb, qc, eps * scale)
+            travel = self._positive_quadratic_root(qa, qb, qc, tmin)
             hit = o + travel[:, None] * d
             t = np.mod(np.arctan2(hit[:, 1] / bb, hit[:, 0] / a), 2 * math.pi)
-            return np.asarray(self._s_of_t(t)), travel
-        return self._stadium_ray_exit(o, d)
+            return self._ellipse_arrays(np.mod(self._s_of_t(t), self.total_length), t), travel
+        s, travel = self._stadium_ray_exit(o, d)
+        return self.point_many(s), travel
 
     @staticmethod
     def _positive_quadratic_root(qa, qb, qc, tmin):
@@ -370,7 +361,7 @@ class BoundaryCurve:
     def _stadium_ray_exit(self, o, d):
         l = self.params["half_length"]
         rho = self.params["cap_radius"]
-        eps = self.tol.geometric * max(1.0, self.total_length)
+        eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
         n = o.shape[0]
         best_t = np.full(n, np.inf)
         best_s = np.zeros(n)

@@ -81,7 +81,8 @@ def test_manifest_roundtrip(tmp_path):
     csv_bytes = out.read_bytes()
     svg_bytes = svg.read_bytes()
     manifest_path = str(out) + ".manifest.json"
-    manifest = json.loads(open(manifest_path).read())
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
     assert manifest["tool"] == "sabine-lab"
     assert manifest["command"] == "disk-oracle"
     assert str(out) in manifest["outputs"] and str(svg) in manifest["outputs"]

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,26 @@ def test_arclength_of_angle_ellipse(ellipse21):
     assert abs(ellipse21.angle_of_arclength(s) - t_probe) < 1e-11
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 5.0, 20.0])
+def test_ellipse_arclength_off_the_2to1_case(ratio):
+    curve = BoundaryCurve.ellipse(ratio, 1.0)
+    L = curve.total_length
+
+    def speed(t):
+        return mpmath.sqrt((ratio * mpmath.sin(t)) ** 2 + mpmath.cos(t) ** 2)
+
+    with mpmath.workdps(30):
+        for t in (0.3, 1.234, 2.9, 4.0, 6.0):
+            # split at the vertices, where the speed has its extrema
+            nodes = [0] + [k * mpmath.pi / 2 for k in range(1, 4) if k * math.pi / 2 < t] + [t]
+            oracle = float(mpmath.quad(speed, nodes))
+            assert abs(curve.arclength_of_angle(t) - oracle) < 1e-13 * L
+    for s in (0.0, 1e-3 * L, 0.5 * L, (1.0 - 1e-9) * L):
+        t = curve.angle_of_arclength(s)
+        assert 0.0 <= t < 2.0 * math.pi
+        assert abs(curve.arclength_of_angle(t) - s) < 1e-12 * L
+
+
 def test_arclength_of_angle_unsupported_for_stadium(stadium11):
     with pytest.raises(UnsupportedCurveKindError):
         stadium11.arclength_of_angle(1.0)
@@ -183,15 +204,23 @@ def test_ray_exit_reversal(rng, unit_circle, ellipse21, stadium11):
             assert np.linalg.norm(back.point.position - data.position) < 1e-9
 
 
-def test_ray_exit_residual_on_curve(rng, ellipse21):
-    for _ in range(50):
-        s = rng.uniform(0, ellipse21.total_length)
-        data = ellipse21.point_at(s)
-        xi = rng.uniform(-0.9, 0.9)
-        direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
-        hit = ellipse21.ray_exit(data.position, direction)
-        x, y = hit.point.position
-        assert abs((x / 2) ** 2 + y**2 - 1) < 1e-12
+def test_ray_exit_residual_on_curve(rng, unit_circle, ellipse21, stadium11):
+    # the exit data is the boundary point at the exit arclength
+    for curve in (unit_circle, ellipse21, stadium11):
+        for _ in range(50):
+            s = rng.uniform(0, curve.total_length)
+            data = curve.point_at(s)
+            xi = rng.uniform(-0.9, 0.9)
+            direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
+            hit = curve.ray_exit(data.position, direction)
+            ref = curve.point_at(hit.point.s)
+            assert np.linalg.norm(hit.point.position - ref.position) < 1e-12
+            assert np.linalg.norm(hit.point.unit_tangent - ref.unit_tangent) < 1e-12
+            assert np.linalg.norm(hit.point.outward_normal - ref.outward_normal) < 1e-12
+            assert abs(hit.point.curvature - ref.curvature) < 1e-12 * max(1.0, ref.curvature)
+            if curve is ellipse21:
+                x, y = hit.point.position
+                assert abs((x / 2) ** 2 + y**2 - 1) < 1e-12
 
 
 def test_tangent_launch_rejected(unit_circle):
