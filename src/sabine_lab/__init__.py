@@ -18,7 +18,6 @@ from .billiards import (  # noqa: F401
     sabine_gap,
 )
 from .disk_oracle import (  # noqa: F401
-    ModeIndex,
     ResonanceCandidate,
     delta_prime_resonance,
     delta_resonance,

@@ -8,12 +8,16 @@ only through its distance, so every curve takes the same path: the grid's
 distinct node distances are found once, the kernel is evaluated on them and
 gathered into the matrix.  The smallest singular value of the discretized
 I + G(lambda) V is the functional whose near-vanishing marks a resonance.
+
+When every entry depends only on (i - j) mod N, as on the circle, the
+matrix is circulant: its singular values are the moduli of the FFT of its
+first column, so sigma_min (with a constant symbol) and the operator norm
+need one kernel column and no dense SVD.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -24,7 +28,7 @@ from scipy.spatial.distance import pdist, squareform
 from . import specfun
 from .billiards import Model, PotentialSpec
 from .errors import RegionError
-from .geometry import BoundaryCurve, SurfacePoint
+from .geometry import BoundaryCurve
 
 
 @dataclass
@@ -40,7 +44,6 @@ class NystromGrid:
     s: np.ndarray
     points: np.ndarray
     weights: np.ndarray
-    _node_cache: Optional[list] = field(default=None, repr=False)
     _assembly_cache: Optional[dict] = field(default=None, repr=False)
 
     @classmethod
@@ -51,13 +54,6 @@ class NystromGrid:
         data = curve.point_many(s)
         weights = np.full(N, curve.total_length / N)
         return cls(curve=curve, N=N, s=s, points=data["position"], weights=weights)
-
-    @property
-    def nodes(self) -> list[SurfacePoint]:
-        if self._node_cache is None:
-            data = self.curve.point_many(self.s)
-            self._node_cache = [SurfacePoint.from_data(data, i) for i in range(self.N)]
-        return self._node_cache
 
 
 @dataclass
@@ -120,27 +116,37 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _assembly_context(grid: NystromGrid) -> dict:
     """Frequency-independent assembly data, cached on the grid: the
-    distance groups (``dist``, ``group``) and the log-quadrature terms."""
+    distance groups (``dist``, ``group``), the log-quadrature terms and
+    whether the matrix is circulant.
+
+    The log-quadrature terms depend only on (i - j) mod N, so the matrix is
+    circulant exactly when the integer distance index is; that is decided
+    here once, from the index and not from the curve kind.
+    """
     if grid._assembly_cache is not None:
         return grid._assembly_cache
     # grouped first, so its temporaries and the N x N arrays below do not
     # raise the peak memory together
     dist, group = _distance_groups(grid.points)
     N = grid.N
-    off = ~np.eye(N, dtype=bool)
+    off = group > 0
     t = 2.0 * np.pi * np.arange(N) / N
     dt = t[:, None] - t[None, :]
     logterm = np.zeros((N, N))
     logterm[off] = np.log(4.0 * np.sin(0.5 * dt[off]) ** 2)
+    del off, dt
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     rmat = _log_quadrature_weights(N)[idx]
-    ctx = {"off": off, "logterm": logterm, "rmat": rmat, "dist": dist, "group": group}
+    circulant = bool(np.array_equal(group, group[idx, 0]))
+    ctx = {"logterm": logterm, "rmat": rmat, "dist": dist, "group": group,
+           "circulant": circulant}
     grid._assembly_cache = ctx
     return ctx
 
 
-def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
-    """Nystrom matrix of the single layer operator at frequency lambda.
+def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> tuple[complex, np.ndarray]:
+    """Checked frequency and the Nystrom entries at the index selection sel
+    of the N x N matrix (all of it, or one column of a circulant grid).
 
     The kernel K = (i/4) H0(lambda r) * speed is split as
     K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
@@ -154,28 +160,32 @@ def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
         warnings.warn(
             f"lambda*diameter = {abs(lam) * d:.1f} exceeds N/4 = {N / 4:.0f}; "
             "the discretization is under-resolved (rule of thumb)",
-            stacklevel=2,
+            stacklevel=3,
         )
     if not grid.curve.is_strictly_convex:
         warnings.warn(
             "stadium boundary is only C^{1,1}; the spectral log-quadrature "
             "loses accuracy at the cap junctions (expect halved convergence)",
-            stacklevel=2,
+            stacklevel=3,
         )
     speed = grid.curve.total_length / (2.0 * np.pi)
     ctx = _assembly_context(grid)
-    off = ctx["off"]
+    group = ctx["group"][sel]
+    diag = group == 0
     vec_j = np.zeros(ctx["dist"].size + 1, dtype=complex)
     vec_h = np.zeros_like(vec_j)
     vec_j[1:], vec_h[1:] = specfun.j0_h0_arrays(lam * ctx["dist"])
-    j0 = vec_j[ctx["group"]]
-    h0 = vec_h[ctx["group"]]
-    k1 = -(0.25 / np.pi) * speed * j0
-    k1[~off] = -(0.25 / np.pi) * speed      # J0 -> 1 on the diagonal
-    k2 = 0.25j * speed * h0 - k1 * ctx["logterm"]
-    k2[~off] = (0.25j - np.euler_gamma / (2.0 * np.pi)
+    k1 = -(0.25 / np.pi) * speed * vec_j[group]
+    k1[diag] = -(0.25 / np.pi) * speed      # J0 -> 1 on the diagonal
+    k2 = 0.25j * speed * vec_h[group] - k1 * ctx["logterm"][sel]
+    k2[diag] = (0.25j - np.euler_gamma / (2.0 * np.pi)
                 - np.log(lam * speed / 2.0) / (2.0 * np.pi)) * speed
-    entries = ctx["rmat"] * k1 + (2.0 * np.pi / N) * k2
+    return lam, ctx["rmat"][sel] * k1 + (2.0 * np.pi / N) * k2
+
+
+def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
+    """Nystrom matrix of the single layer operator at frequency lambda."""
+    lam, entries = _kernel_entries(grid, lam, np.s_[:, :])
     return LayerMatrix(lam=lam, entries=entries, grid=grid)
 
 
@@ -183,10 +193,13 @@ def operator_norm(matrix: LayerMatrix) -> float:
     """L2(dS) operator norm: largest singular value of the matrix.
 
     The grid's weights are all L/N, so the weight-symmetrized matrix
-    D A D^-1 (D = diag(sqrt(weights))) is the matrix itself.
+    D A D^-1 (D = diag(sqrt(weights))) is the matrix itself.  A circulant
+    matrix is normal, so its singular values are |fft(first column)|.
     """
     if not np.any(matrix.entries):
         return 0.0
+    if matrix.grid is not None and _assembly_context(matrix.grid)["circulant"]:
+        return float(np.abs(np.fft.fft(matrix.entries[:, 0])).max())
     return float(np.linalg.svd(matrix.entries, compute_uv=False)[0])
 
 
@@ -195,45 +208,26 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     """Smallest singular value (and condition number) of I + G(z/h) V.
 
     Near-vanishing of sigma_min marks a resonance; the condition number is
-    the complementary diagnostic maximized at resonances.
+    the complementary diagnostic maximized at resonances.  On a circulant
+    grid with a constant symbol v the singular values are
+    |1 + v fft(column 0)|; every other case takes the dense SVD.
     """
     sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
     if np.ndim(sv) == 0:
         sv = np.full(grid.N, float(sv))
     if not sv.any():
         return BoundaryOperatorConditioning(sigma_min=1.0, cond=1.0)
-    layer = assemble_single_layer(grid, complex(z) / h)
-    op = np.eye(grid.N, dtype=complex) + layer.entries * sv[None, :]
-    svals = np.linalg.svd(op, compute_uv=False)
+    lam = complex(z) / h
+    if _assembly_context(grid)["circulant"] and (sv == sv[0]).all():
+        _, column = _kernel_entries(grid, lam, np.s_[:, 0])
+        svals = np.abs(1.0 + sv[0] * np.fft.fft(column))
+        smin, smax = svals.min(), svals.max()
+    else:
+        layer = assemble_single_layer(grid, lam)
+        op = np.eye(grid.N, dtype=complex) + layer.entries * sv[None, :]
+        svals = np.linalg.svd(op, compute_uv=False)
+        smin, smax = svals[-1], svals[0]
     return BoundaryOperatorConditioning(
-        sigma_min=float(svals[-1]),
-        cond=float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf,
+        sigma_min=float(smin),
+        cond=float(smax / smin) if smin > 0 else math.inf,
     )
-
-
-# ---------------------------------------------------------------------------
-# binary matrix dump (offline inspection)
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"SLAB"
-
-
-def write_matrix(matrix: LayerMatrix, path) -> None:
-    """Dump: 16-byte header (magic "SLAB", uint32 N, complex64 lambda) then
-    row-major complex128 entries, all little-endian."""
-    n = matrix.entries.shape[0]
-    header = _MAGIC + struct.pack("<Iff", n, float(matrix.lam.real), float(matrix.lam.imag))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(matrix.entries.astype("<c16").tobytes(order="C"))
-
-
-def read_matrix(path) -> LayerMatrix:
-    """Inverse of write_matrix; the grid reference is not persisted."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:4] != _MAGIC:
-            raise ValueError(f"{path}: not a layer-matrix dump (bad magic)")
-        n, lre, lim = struct.unpack("<Iff", header[4:])
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(n, n).copy()
-    return LayerMatrix(lam=complex(lre, lim), entries=data, grid=None)

@@ -36,14 +36,6 @@ DEFAULT_WINDOW = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Angular mode n and radial lattice index k."""
-
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
 class OracleProvenance:
     n: int
     k: int

@@ -9,6 +9,7 @@ from sabine_lab import bie, specfun
 from sabine_lab.billiards import Model, PotentialSpec
 from sabine_lab.disk_oracle import mode_sweep
 from sabine_lab.errors import RegionError
+from sabine_lab.geometry import BoundaryCurve
 
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
@@ -29,7 +30,6 @@ def test_grid_weights_sum(unit_circle, ellipse21, stadium11):
     for curve in (unit_circle, ellipse21, stadium11):
         grid = bie.NystromGrid.build(curve, 64)
         assert abs(grid.weights.sum() - curve.total_length) < 1e-10
-        assert len(grid.nodes) == 64
 
 
 def test_grid_validation(unit_circle):
@@ -180,14 +180,82 @@ def test_stadium_quadrature_warns(stadium11):
         bie.assemble_single_layer(grid, 3.0)
 
 
-def test_matrix_dump_roundtrip(tmp_path, unit_circle):
+def dense_conditioning(grid, z, h, pot):
+    """sigma_min and cond of I + G V from the dense SVD of the assembled matrix."""
+    layer = bie.assemble_single_layer(grid, z / h)
+    sv = np.broadcast_to(pot.symbol(grid.s, h, Model.DELTA), (grid.N,))
+    svals = np.linalg.svd(np.eye(grid.N) + layer.entries * sv[None, :], compute_uv=False)
+    return svals[-1], svals[0] / svals[-1]
+
+
+def count_dense_assemblies(monkeypatch):
+    calls = []
+    original = bie.assemble_single_layer
+    monkeypatch.setattr(bie, "assemble_single_layer",
+                        lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+def test_circulant_spectrum_matches_dense_svd(unit_circle):
+    h = 0.1
+    root = mode_sweep(h, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0].z
+    strong = PotentialSpec(V0=2.5, alpha=0.3)
+    cases = ((root + 5e-4j, POT1), (root - 7e-4, POT1), (1.02 - 0.12j, strong))
+    for N in (64, 256, 1024):
+        grid = bie.NystromGrid.build(unit_circle, N)
+        assert bie._assembly_context(grid)["circulant"]
+        for z, pot in cases:
+            fast = bie.sigma_min_boundary_operator(grid, z, h, pot)
+            smin, cond = dense_conditioning(grid, z, h, pot)
+            assert abs(fast.sigma_min - smin) <= 1e-12 * smin
+            assert abs(fast.cond - cond) <= 1e-12 * cond
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+def test_circulant_operator_norm_matches_dense_svd(unit_circle):
+    grid = bie.NystromGrid.build(unit_circle, 1024)
+    mat = bie.assemble_single_layer(grid, 200.0)
+    dense = np.linalg.svd(mat.entries, compute_uv=False)[0]
+    assert abs(bie.operator_norm(mat) - dense) <= 1e-13 * dense
+    detached = bie.LayerMatrix(lam=mat.lam, entries=mat.entries)   # no grid: dense SVD
+    assert abs(bie.operator_norm(detached) - dense) <= 1e-13 * dense
+
+
+@pytest.mark.filterwarnings("ignore:stadium")
+def test_circulant_flag_follows_distance_index(unit_circle, ellipse21, stadium11):
+    round_ellipse = BoundaryCurve.from_spec("ellipse:a=1,b=1")
+    for curve, circulant in ((unit_circle, True), (round_ellipse, True),
+                             (ellipse21, False), (stadium11, False)):
+        grid = bie.NystromGrid.build(curve, 64)
+        assert bie._assembly_context(grid)["circulant"] is circulant
+
+
+def test_sigma_min_path_choice(monkeypatch, unit_circle, ellipse21):
+    calls = count_dense_assemblies(monkeypatch)
+    z, h = 1.02 - 0.12j, 0.1
+    for curve, dense_calls in ((unit_circle, 0), (ellipse21, 1)):
+        calls.clear()
+        grid = bie.NystromGrid.build(curve, 256)
+        bie.sigma_min_boundary_operator(grid, z, h, POT1)
+        assert len(calls) == dense_calls
+    # a non-constant profile breaks the circulant structure of I + G V
+    bumpy = PotentialSpec(V0=1.0, alpha=0.0,
+                          profile=lambda s: 1.0 + 0.3 * np.cos(np.asarray(s, float)))
+    grid = bie.NystromGrid.build(unit_circle, 128)
+    calls.clear()
+    res = bie.sigma_min_boundary_operator(grid, z, h, bumpy)
+    assert len(calls) == 1
+    assert (res.sigma_min, res.cond) == dense_conditioning(grid, z, h, bumpy)
+
+
+def test_column_path_keeps_checks(monkeypatch, unit_circle):
+    calls = count_dense_assemblies(monkeypatch)
     grid = bie.NystromGrid.build(unit_circle, 32)
-    mat = bie.assemble_single_layer(grid, 12.5 - 0.25j)
-    path = tmp_path / "matrix.slab"
-    bie.write_matrix(mat, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"SLAB"
-    assert len(raw) == 16 + 32 * 32 * 16
-    back = bie.read_matrix(path)
-    assert np.array_equal(back.entries, mat.entries)
-    assert abs(back.lam - mat.lam) < 1e-6   # header stores complex64
+    with pytest.warns(UserWarning, match="lambda\\*diameter"):
+        bie.sigma_min_boundary_operator(grid, 3.0 - 0.1j, 0.1, POT1)
+    with pytest.raises(RegionError):
+        bie.sigma_min_boundary_operator(grid, 150.0, 0.1, POT1)
+    with pytest.raises(RegionError):
+        bie.sigma_min_boundary_operator(grid, -0.5, 0.1, POT1)
+    assert calls == []
