@@ -3,11 +3,14 @@
 The boundary is sampled at equal arclength steps; the weakly singular
 kernel (i/4) H0(lambda |x - y|) is split into a log-singular part handled
 by spectrally accurate trigonometric quadrature weights and a smooth
-remainder handled by the trapezoid rule.  The kernel depends on a node pair
-only through its distance, so every curve takes the same path: the grid's
-distinct node distances are found once, the kernel is evaluated on them and
-gathered into the matrix.  The smallest singular value of the discretized
-I + G(lambda) V is the functional whose near-vanishing marks a resonance.
+remainder handled by the trapezoid rule.  ``NystromGrid.build`` computes
+everything that does not depend on the frequency once: the distinct node
+distances and the index into them, one log-quadrature table, the circulant
+flag and the diameter.  The kernel depends on a node pair only through its
+distance, so every curve takes the same path: at each frequency the kernel
+is evaluated on the distinct distances and gathered into the matrix.  The
+smallest singular value of the discretized I + G(lambda) V is the
+functional whose near-vanishing marks a resonance.
 
 When every entry depends only on (i - j) mod N, as on the circle, the
 matrix is circulant: its singular values are the moduli of the FFT of its
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -31,56 +34,65 @@ from .errors import RegionError
 from .geometry import BoundaryCurve
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NystromGrid:
-    """Equal-arclength quadrature grid on a boundary curve.
+    """Equal-arclength quadrature grid on a boundary curve, with every
+    frequency-free piece of the Nystrom assembly.
 
-    weights are the arclength steps (speed times the 2pi/N parameter step,
-    which is constant here because the parametrization is arclength).
+    ``dist`` and ``group`` are the distinct off-diagonal node distances and
+    the N x N index into them (0 on the diagonal).  ``logw[i, j]`` is the
+    log-quadrature table W[(i - j) mod N]: the trigonometric weight R_d with
+    the trapezoid rule's log(4 sin^2(pi d / N)) term folded in.  That table
+    depends only on (i - j) mod N, so the matrix is ``circulant`` exactly
+    when the integer distance index is; the flag is read from the index, not
+    from the curve kind.
     """
 
     curve: BoundaryCurve
     N: int
     s: np.ndarray
     points: np.ndarray
-    weights: np.ndarray
-    _assembly_cache: Optional[dict] = field(default=None, repr=False)
+    dist: np.ndarray
+    group: np.ndarray
+    logw: np.ndarray
+    circulant: bool
+    diameter: float
 
     @classmethod
     def build(cls, curve: BoundaryCurve, N: int) -> "NystromGrid":
         if N < 16 or N % 2 != 0:
             raise ValueError("node count must be even and at least 16")
+        if not curve.is_strictly_convex:
+            warnings.warn(
+                "stadium boundary is only C^{1,1}; the spectral log-quadrature "
+                "loses accuracy at the cap junctions (expect halved convergence)",
+                stacklevel=2,
+            )
         s = curve.total_length * np.arange(N) / N
-        data = curve.point_many(s)
-        weights = np.full(N, curve.total_length / N)
-        return cls(curve=curve, N=N, s=s, points=data["position"], weights=weights)
+        points = curve.point_many(s)["position"]
+        # grouped first, so its temporaries and the N x N arrays below do not
+        # raise the peak memory together
+        dist, group = _distance_groups(points)
+        w = _log_quadrature_weights(N)
+        d = np.arange(1, N)
+        w[1:] -= (2.0 * np.pi / N) * np.log(4.0 * np.sin(np.pi * d / N) ** 2)
+        idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+        return cls(curve=curve, N=N, s=s, points=points, dist=dist, group=group,
+                   logw=w[idx], circulant=bool(np.array_equal(group, group[idx, 0])),
+                   diameter=curve.diameter()[0])
 
 
 @dataclass
 class LayerMatrix:
-    """Discretized single layer operator at physical frequency lambda."""
+    """Discretized single layer operator on its grid."""
 
-    lam: complex
     entries: np.ndarray
-    grid: Optional[NystromGrid] = None
+    grid: NystromGrid
 
 
 class BoundaryOperatorConditioning(NamedTuple):
     sigma_min: float
     cond: float
-
-
-def _check_lambda(curve: BoundaryCurve, lam: complex) -> complex:
-    lam = complex(lam)
-    d, _ = curve.diameter()
-    if lam.real <= 0:
-        raise RegionError(f"frequency {lam} must have positive real part")
-    if abs(lam) * d > specfun.REGION_RE_MAX or abs(lam.imag) * d > specfun.REGION_IM_MAX:
-        raise RegionError(
-            f"kernel arguments up to lambda*d = {abs(lam) * d:.4g} exceed the "
-            f"validated special-function region"
-        )
-    return lam
 
 
 def _log_quadrature_weights(N: int) -> np.ndarray:
@@ -114,91 +126,57 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, squareform(np.searchsorted(dist, r, side="right"))
 
 
-def _assembly_context(grid: NystromGrid) -> dict:
-    """Frequency-independent assembly data, cached on the grid: the
-    distance groups (``dist``, ``group``), the log-quadrature terms and
-    whether the matrix is circulant.
-
-    The log-quadrature terms depend only on (i - j) mod N, so the matrix is
-    circulant exactly when the integer distance index is; that is decided
-    here once, from the index and not from the curve kind.
-    """
-    if grid._assembly_cache is not None:
-        return grid._assembly_cache
-    # grouped first, so its temporaries and the N x N arrays below do not
-    # raise the peak memory together
-    dist, group = _distance_groups(grid.points)
-    N = grid.N
-    off = group > 0
-    t = 2.0 * np.pi * np.arange(N) / N
-    dt = t[:, None] - t[None, :]
-    logterm = np.zeros((N, N))
-    logterm[off] = np.log(4.0 * np.sin(0.5 * dt[off]) ** 2)
-    del off, dt
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    rmat = _log_quadrature_weights(N)[idx]
-    circulant = bool(np.array_equal(group, group[idx, 0]))
-    ctx = {"logterm": logterm, "rmat": rmat, "dist": dist, "group": group,
-           "circulant": circulant}
-    grid._assembly_cache = ctx
-    return ctx
-
-
-def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> tuple[complex, np.ndarray]:
-    """Checked frequency and the Nystrom entries at the index selection sel
-    of the N x N matrix (all of it, or one column of a circulant grid).
+def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
+    """Nystrom entries at frequency lambda (checked against the validated
+    region) at the index selection sel of the N x N matrix: all of it, or
+    one column of a circulant grid.
 
     The kernel K = (i/4) H0(lambda r) * speed is split as
     K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
-    * speed; K2's diagonal limit involves the Euler-Mascheroni constant and
+    * speed; an entry is logw * K1 + (2pi/N) (i/4) H0 * speed off the
+    diagonal, where K2's limit involves the Euler-Mascheroni constant and
     the parametrization speed.
     """
-    lam = _check_lambda(grid.curve, lam)
-    N = grid.N
-    d, _ = grid.curve.diameter()
+    lam = complex(lam)
+    N, d = grid.N, grid.diameter
+    if lam.real <= 0:
+        raise RegionError(f"frequency {lam} must have positive real part")
+    if abs(lam) * d > specfun.REGION_RE_MAX or abs(lam.imag) * d > specfun.REGION_IM_MAX:
+        raise RegionError(
+            f"kernel arguments up to lambda*d = {abs(lam) * d:.4g} exceed the "
+            f"validated special-function region"
+        )
     if abs(lam) * d > N / 4.0:
         warnings.warn(
             f"lambda*diameter = {abs(lam) * d:.1f} exceeds N/4 = {N / 4:.0f}; "
             "the discretization is under-resolved (rule of thumb)",
             stacklevel=3,
         )
-    if not grid.curve.is_strictly_convex:
-        warnings.warn(
-            "stadium boundary is only C^{1,1}; the spectral log-quadrature "
-            "loses accuracy at the cap junctions (expect halved convergence)",
-            stacklevel=3,
-        )
     speed = grid.curve.total_length / (2.0 * np.pi)
-    ctx = _assembly_context(grid)
-    group = ctx["group"][sel]
-    diag = group == 0
-    vec_j = np.zeros(ctx["dist"].size + 1, dtype=complex)
+    group = grid.group[sel]
+    vec_j = np.ones(grid.dist.size + 1, dtype=complex)     # J0 -> 1 on the diagonal
     vec_h = np.zeros_like(vec_j)
-    vec_j[1:], vec_h[1:] = specfun.j0_h0_arrays(lam * ctx["dist"])
+    vec_j[1:], vec_h[1:] = specfun.j0_h0_arrays(lam * grid.dist)
     k1 = -(0.25 / np.pi) * speed * vec_j[group]
-    k1[diag] = -(0.25 / np.pi) * speed      # J0 -> 1 on the diagonal
-    k2 = 0.25j * speed * vec_h[group] - k1 * ctx["logterm"][sel]
-    k2[diag] = (0.25j - np.euler_gamma / (2.0 * np.pi)
-                - np.log(lam * speed / 2.0) / (2.0 * np.pi)) * speed
-    return lam, ctx["rmat"][sel] * k1 + (2.0 * np.pi / N) * k2
+    k2 = 0.25j * speed * vec_h[group]
+    k2[group == 0] = (0.25j - np.euler_gamma / (2.0 * np.pi)
+                      - np.log(lam * speed / 2.0) / (2.0 * np.pi)) * speed
+    return grid.logw[sel] * k1 + (2.0 * np.pi / N) * k2
 
 
 def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
     """Nystrom matrix of the single layer operator at frequency lambda."""
-    lam, entries = _kernel_entries(grid, lam, np.s_[:, :])
-    return LayerMatrix(lam=lam, entries=entries, grid=grid)
+    return LayerMatrix(entries=_kernel_entries(grid, lam, np.s_[:, :]), grid=grid)
 
 
 def operator_norm(matrix: LayerMatrix) -> float:
     """L2(dS) operator norm: largest singular value of the matrix.
 
-    The grid's weights are all L/N, so the weight-symmetrized matrix
-    D A D^-1 (D = diag(sqrt(weights))) is the matrix itself.  A circulant
+    Every node carries the arclength weight L/N, so the weight-symmetrized
+    matrix D A D^-1 (D = diag(sqrt(L/N))) is the matrix itself.  A circulant
     matrix is normal, so its singular values are |fft(first column)|.
     """
-    if not np.any(matrix.entries):
-        return 0.0
-    if matrix.grid is not None and _assembly_context(matrix.grid)["circulant"]:
+    if matrix.grid.circulant:
         return float(np.abs(np.fft.fft(matrix.entries[:, 0])).max())
     return float(np.linalg.svd(matrix.entries, compute_uv=False)[0])
 
@@ -213,13 +191,11 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     |1 + v fft(column 0)|; every other case takes the dense SVD.
     """
     sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
-    if np.ndim(sv) == 0:
-        sv = np.full(grid.N, float(sv))
     if not sv.any():
         return BoundaryOperatorConditioning(sigma_min=1.0, cond=1.0)
     lam = complex(z) / h
-    if _assembly_context(grid)["circulant"] and (sv == sv[0]).all():
-        _, column = _kernel_entries(grid, lam, np.s_[:, 0])
+    if grid.circulant and (sv == sv[0]).all():
+        column = _kernel_entries(grid, lam, np.s_[:, 0])
         svals = np.abs(1.0 + sv[0] * np.fft.fft(column))
         smin, smax = svals.min(), svals.max()
     else:

@@ -41,9 +41,6 @@ class OracleProvenance:
     k: int
     model: Model
 
-    def describe(self) -> str:
-        return f"oracle(n={self.n},k={self.k},{self.model.value})"
-
 
 @dataclass(frozen=True)
 class BieProvenance:
@@ -51,9 +48,6 @@ class BieProvenance:
     cond: float
     quad_n: int
     start: complex
-
-    def describe(self) -> str:
-        return f"bie(N={self.quad_n},sigma_min={self.sigma_min:.3e})"
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ reported (``RecurrenceBudgetError``).  Derivatives come from the neighbour
 identity J_n' = (J_{n-1} - J_{n+1})/2.
 
 ``j0_h0_arrays`` is the in-house vectorized order-0 pair for kernel
-assembly: plain-double series and large-argument Hankel expansions, banded
-by magnitude, which is faster than AMOS on the kernel's point sets.
+assembly: the plain-double power series below |w| = 12 and the
+large-argument Hankel expansion above, which is faster than AMOS on the
+kernel's point sets.
 
 Everything here is stateless and pure.
 """
@@ -180,14 +181,14 @@ def bessel_row(n_max: int, z: complex) -> list[BesselEval]:
 # vectorized order-0 pair for boundary-integral kernels
 # ---------------------------------------------------------------------------
 
-def _j0_h0_series_band(ws: np.ndarray, kmax: int):
+def _j0_h0_series(ws: np.ndarray):
     # the harmonic companion shares the base term (-x)^k/(k!)^2 with J0
     x = ws * ws * 0.25
     term = np.ones_like(ws)
     j = term.copy()
     s = np.zeros_like(ws)
     hk = 0.0
-    for k in range(1, kmax):
+    for k in range(1, 46):
         term *= x
         term /= -(k * k)
         j += term
@@ -199,7 +200,7 @@ def _j0_h0_series_band(ws: np.ndarray, kmax: int):
     return j, j + 1j * y
 
 
-def _j0_h0_asym_band(wb: np.ndarray, kmax: int):
+def _j0_h0_asym(wb: np.ndarray):
     # the incoming-wave sum has terms (-1)^k times the outgoing ones
     pref = np.sqrt(2.0 / (np.pi * wb))
     e1 = pref * np.exp(1j * (wb - 0.25 * np.pi))
@@ -210,7 +211,7 @@ def _j0_h0_asym_band(wb: np.ndarray, kmax: int):
     prev = np.ones(wb.shape)
     live = np.ones(wb.shape, dtype=bool)
     sign = 1.0
-    for k in range(1, kmax):
+    for k in range(1, 34):
         fac = (-((2 * k - 1) ** 2)) / (8.0 * k)
         t1 = t1 * (1j * fac) / wb
         sign = -sign
@@ -231,23 +232,16 @@ def _j0_h0_asym_band(wb: np.ndarray, kmax: int):
 def j0_h0_arrays(w: np.ndarray):
     """J0(w) and H^(1)_0(w) elementwise over a complex array.
 
-    Plain-double regime switching at |w| = 12, banded by magnitude so the
-    series/expansion loops run only as long as the band needs; intended for
+    Plain-double series for |w| <= 12 and the large-argument expansion
+    above; both loops stop once their terms have converged.  Intended for
     kernel assembly where ~1e-11 relative accuracy suffices.  Entries with
     w == 0 must be excluded by the caller.
     """
     w = np.asarray(w, dtype=np.complex128)
     j0 = np.empty_like(w)
     h0 = np.empty_like(w)
-    aw = np.abs(w)
-    for lo, hi, kmax, evaluator in (
-        (-1.0, 3.0, 14, _j0_h0_series_band),
-        (3.0, 7.0, 28, _j0_h0_series_band),
-        (7.0, _VEC_SERIES_RADIUS, 46, _j0_h0_series_band),
-        (_VEC_SERIES_RADIUS, 30.0, 34, _j0_h0_asym_band),
-        (30.0, np.inf, 16, _j0_h0_asym_band),
-    ):
-        m = (aw > lo) & (aw <= hi) if np.isfinite(hi) else (aw > lo)
+    series = np.abs(w) <= _VEC_SERIES_RADIUS
+    for m, evaluator in ((series, _j0_h0_series), (~series, _j0_h0_asym)):
         if m.any():
-            j0[m], h0[m] = evaluator(w[m], kmax)
+            j0[m], h0[m] = evaluator(w[m])
     return j0, h0

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from sabine_lab import bie, billiards, cli, specfun
 from sabine_lab import disk_oracle as do
@@ -77,6 +78,7 @@ def test_criterion_3_sabine_sharpness_on_disk():
     check(3, ok, detail, time.perf_counter() - t0, 10.0)
 
 
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
 def test_criterion_4_operator_norm_exponent():
     t0 = time.perf_counter()
     circle = BoundaryCurve.circle(1.0)

@@ -149,6 +149,7 @@ def test_billiards_orbit_csv(tmp_path):
     assert all(abs(c - 2.0) < 1e-12 for c in chords)
 
 
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
 def test_opnorm_scaling_csv(tmp_path, capsys):
     out = tmp_path / "norms.csv"
     code = run_cli(["opnorm-scaling", "--curve", "circle:r=1",

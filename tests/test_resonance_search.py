@@ -25,6 +25,7 @@ def test_window_validation():
                         coarse_grid=(4, 4), h=0.1, quad_n=64, strip_factor=2.0)
 
 
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
 def test_degenerate_grid_matches_direct_call(unit_circle):
     w = rs.SearchWindow(re_range=(1.0, 1.0001), im_range=(-0.11, -0.1),
                         coarse_grid=(1, 1), h=0.1, quad_n=64)

@@ -182,8 +182,9 @@ def test_row_budget_overflow_is_reported():
 
 
 def test_vectorized_order0_matches_scalar():
-    w = np.array([0.05 + 0.01j, 2.0 - 0.4j, 11.5 + 0j, 12.5 - 1j,
-                  45.0 + 3j, 200.0 + 0j, 1600.0 + 0j])
+    w = np.array([0.05 + 0.01j, 2.0 - 0.4j, 3.0 + 0j, 7.0 + 0j, 9.0 - 2j,
+                  11.5 + 0j, 12.5 - 1j, 25.0 - 3j, 30.0 + 0j, 45.0 + 3j,
+                  200.0 + 0j, 1600.0 + 0j])
     j0, h0 = specfun.j0_h0_arrays(w)
     for i, wi in enumerate(w):
         assert abs(j0[i] - specfun.bessel_j(0, wi)) < 5e-12
