@@ -4,6 +4,12 @@ Implements the billiard ball map, chord and log-reflectivity averages along
 orbits, the plane-wave reflection coefficients of thin delta / delta-prime
 barriers, and the decay-rate (resonance-free region) bounds obtained by
 optimizing those averages over phase space.
+
+Phase points are reported in arclength s, but the map steps in each curve's
+native parameter u (see geometry), so the ellipse's arclength map runs once
+per orbit or grid and not at every step.  One orbit takes the step on Python
+floats through math; the decay-rate grid takes the same formulas on numpy
+arrays, one call for all its orbits.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     NoValidDiameterPairError,
     OrbitError,
 )
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, math_or_numpy
 
 _GLANCING_MARGIN = 1e-10
 _MIN_CHORD = 1e-10
@@ -110,19 +116,44 @@ class SabineReport:
 # billiard map
 # ---------------------------------------------------------------------------
 
-def _step_arrays(curve: BoundaryCurve, s, xi):
-    """Vectorized billiard step: arrays (s, xi) -> (s', xi', chord)."""
-    s = np.asarray(s, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    data = curve.point_many(s)
-    xi1 = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
-    direction = xi[:, None] * data["tangent"] - xi1[:, None] * data["normal"]
+def _step(curve: BoundaryCurve, frame, xi):
+    """One billiard step in the curve's native parameter u.
+
+    Takes the boundary frame (x, y, tx, ty) of the start and its tangential
+    momentum xi, as floats for one orbit or arrays for a grid of them, and
+    returns (u', frame', xi', chord) at the next boundary hit.
+    """
+    x, y, tx, ty = frame
+    xp = math_or_numpy(xi)
+    xi1 = xp.sqrt(1.0 - xi * xi)
+    # launch along xi * tangent - xi1 * normal, the outward normal being (ty, -tx)
+    dx = xi * tx - xi1 * ty
+    dy = xi * ty + xi1 * tx
     # renormalize: the eps-level length bias would otherwise accumulate
     # linearly in the tangential momentum over long orbits
-    direction /= np.sqrt(np.sum(direction * direction, axis=1))[:, None]
-    arrive, travel = curve._ray_exit_many(data["position"], direction)
-    xi_next = np.sum(direction * arrive["tangent"], axis=1)
-    return arrive["s"], xi_next, travel
+    norm = xp.sqrt(dx * dx + dy * dy)
+    dx, dy = dx / norm, dy / norm
+    u, travel = curve._exit(x, y, dx, dy)
+    arrive = curve._frame(u)
+    return u, arrive, dx * arrive[2] + dy * arrive[3], travel
+
+
+def _start_frame(curve: BoundaryCurve, q: PhasePoint):
+    return curve._frame(float(curve._u_of_s(q.s)))
+
+
+def _orbit_step(curve: BoundaryCurve, q: PhasePoint, frame):
+    """billiard_step from q, whose boundary frame is given; also returns
+    the arrival frame, so an orbit maps arclength to u only once."""
+    if abs(q.xi) >= 1.0 - _GLANCING_MARGIN:
+        raise GlancingInputError(
+            f"phase point with |xi| = {abs(q.xi)} is within {_GLANCING_MARGIN} of glancing"
+        )
+    u, arrive, xi_next, chord = _step(curve, frame, q.xi)
+    if chord < _MIN_CHORD:
+        raise DegenerateChordError(f"chord length {chord:.3e} below {_MIN_CHORD}")
+    end = PhasePoint(float(curve._s_of_u(u)), xi_next)
+    return OrbitSegment(start=q, end=end, chord_length=chord), arrive
 
 
 def billiard_step(curve: BoundaryCurve, q: PhasePoint) -> OrbitSegment:
@@ -132,31 +163,26 @@ def billiard_step(curve: BoundaryCurve, q: PhasePoint) -> OrbitSegment:
     component sqrt(1 - xi^2), takes the first boundary intersection and
     projects the direction onto the arrival tangent.
     """
-    if abs(q.xi) >= 1.0 - _GLANCING_MARGIN:
-        raise GlancingInputError(
-            f"phase point with |xi| = {abs(q.xi)} is within {_GLANCING_MARGIN} of glancing"
-        )
-    s_next, xi_next, travel = _step_arrays(curve, [q.s], [q.xi])
-    chord = float(travel[0])
-    if chord < _MIN_CHORD:
-        raise DegenerateChordError(f"chord length {chord:.3e} below {_MIN_CHORD}")
-    end = PhasePoint(float(s_next[0]), float(xi_next[0]))
-    return OrbitSegment(start=q, end=end, chord_length=chord)
+    return _orbit_step(curve, q, _start_frame(curve, q))[0]
 
 
 def iterate(curve: BoundaryCurve, q: PhasePoint, n_steps: int) -> list[OrbitSegment]:
-    """Chain n_steps billiard steps; failures carry the failing index."""
+    """Chain n_steps billiard steps; failures carry the failing index.
+
+    The orbit is carried in the curve's native parameter and reported in
+    arclength.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    frame = _start_frame(curve, q)
     segments = []
-    current = q
     for index in range(n_steps):
         try:
-            seg = billiard_step(curve, current)
+            seg, frame = _orbit_step(curve, q, frame)
         except (GlancingInputError, DegenerateChordError) as exc:
             raise OrbitError(str(exc), index) from exc
         segments.append(seg)
-        current = seg.end
+        q = seg.end
     return segments
 
 
@@ -231,15 +257,11 @@ def reflectivity_log_average(curve: BoundaryCurve, q: PhasePoint, n_steps: int,
 def _grid_bound(curve, h, pot, model, delta1, n_average, n_s, n_xi, cap):
     """min over the phase grid, max over averaging depth, of -r_N / l_N."""
     s = np.linspace(0.0, curve.total_length, n_s, endpoint=False)
-    # odd transversal count so the center xi = 0 is always sampled; the
-    # minimizing orbit of a convex table is typically the diameter orbit there
-    if n_xi % 2 == 0:
-        n_xi += 1
     xi = np.linspace(-(1.0 - delta1), 1.0 - delta1, n_xi)
     S, XI = np.meshgrid(s, xi, indexing="ij")
-    cur_s = S.ravel().copy()
-    cur_xi = XI.ravel().copy()
-    m = cur_s.size
+    frame = curve._frame(curve._u_of_s(S.ravel()))
+    cur_xi = XI.ravel()
+    m = cur_xi.size
     cum_chord = np.zeros(m)
     cum_logr = np.zeros(m)
     best_value = -np.inf
@@ -247,9 +269,10 @@ def _grid_bound(curve, h, pot, model, delta1, n_average, n_s, n_xi, cap):
     best_n = 1
     capped = False
     for depth in range(1, n_average + 1):
-        cur_s, cur_xi, travel = _step_arrays(curve, cur_s, cur_xi)
+        u, frame, cur_xi, travel = _step(curve, frame, cur_xi)
         cum_chord += travel
-        sv = pot.symbol(cur_s, h, model)
+        # only a non-constant profile needs the landing arclengths
+        sv = pot.symbol(u if pot.is_constant else curve._s_of_u(u), h, model)
         cum_logr += _log_reflectivity_sq(cur_xi, sv, h, model)
         with np.errstate(invalid="ignore"):
             values = -cum_logr / (2.0 * cum_chord)
@@ -292,10 +315,13 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
             stacklevel=2,
         )
     cap = escape_cap_factor * math.log(1.0 / h)
+    # odd transversal counts so the center xi = 0 is always sampled; the
+    # minimizing orbit of a convex table is typically the diameter orbit there
+    sampled = (n_s, n_xi | 1)
     bound, minimizer, best_n, capped = _grid_bound(
-        curve, h, pot, model, delta1, n_average, n_s, n_xi, cap)
+        curve, h, pot, model, delta1, n_average, *sampled, cap)
     bound2, _, _, capped2 = _grid_bound(
-        curve, h, pot, model, delta1, n_average, 2 * n_s, 2 * n_xi, cap)
+        curve, h, pot, model, delta1, n_average, 2 * n_s, (2 * n_xi) | 1, cap)
     if capped and capped2 and bound >= cap and bound2 >= cap:
         raise AllOrbitsEscapeError(
             "every grid orbit meets the zero set of the potential profile; "
@@ -308,7 +334,7 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     )
     return SabineReport(
         bound=bound, minimizer=minimizer, model=model, h=h, delta1=delta1,
-        n_average=best_n, grid=(n_s, n_xi), converged=converged, capped=capped,
+        n_average=best_n, grid=sampled, converged=converged, capped=capped,
         within_theory=curve.is_strictly_convex, notes=notes,
     )
 

@@ -8,12 +8,21 @@ case with curvature jumps at the four cap junctions.
 The ellipse x = a cos t, y = b sin t has arclength s(t) = b E(t | 1 - a^2/b^2),
 the incomplete elliptic integral of the second kind (DLMF 19.2.5); the inverse
 t(s) is a monotone spline through s(t) at equispaced angles, polished by two
-Newton steps.  All objects are immutable after construction, so every method
-is safe for concurrent reads.
+Newton steps.
+
+Each curve also has a native parameter u in which its frame and its ray exit
+are closed-form: the polar angle on the circle, the angle t on the ellipse and
+the arclength itself on the stadium.  The billiard map steps in u, so an orbit
+maps s -> u once at its start and u -> s only where an arclength is reported
+or a profile is evaluated.  The native-parameter methods take a Python float
+(one orbit, through math) or a numpy array (a grid of orbits) and write each
+formula once for both.  All objects are immutable after construction, so
+every method is safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -100,6 +109,9 @@ class BoundaryCurve:
             if l <= 0 or rho <= 0:
                 raise ValueError("stadium requires positive half-length and cap radius")
             self.total_length = 4.0 * l + 2.0 * math.pi * rho
+            # arclengths where the right cap, top, left cap and bottom begin
+            cap = math.pi * rho
+            self._junctions = (0.0, cap, cap + 2 * l, 2 * cap + 2 * l)
         else:  # pragma: no cover
             raise UnsupportedCurveKindError(f"unknown curve kind {kind}")
 
@@ -166,6 +178,148 @@ class BoundaryCurve:
             t = t - (self._s_of_t(t) - s) / self._speed(t)
         return t
 
+    # -- native parameter ----------------------------------------------------
+
+    def _u_of_s(self, s):
+        """Native parameter of arclength s (wrapped modulo total_length)."""
+        if self.kind is CurveKind.ELLIPSE:
+            return self._t_of_s(s)
+        s = s % self.total_length
+        return s / self.params["radius"] if self.kind is CurveKind.CIRCLE else s
+
+    def _s_of_u(self, u):
+        """Arclength in [0, total_length) of the native parameter u."""
+        if self.kind is CurveKind.CIRCLE:
+            return (self.params["radius"] * u) % self.total_length
+        if self.kind is CurveKind.ELLIPSE:
+            return self._s_of_t(u) % self.total_length
+        return u
+
+    def _frame(self, u):
+        """Position and unit tangent (x, y, tx, ty) at the native parameter u.
+
+        The outward normal is (ty, -tx).
+        """
+        xp = math_or_numpy(u)
+        if self.kind is CurveKind.CIRCLE:
+            r = self.params["radius"]
+            c, sn = xp.cos(u), xp.sin(u)
+            return r * c, r * sn, -sn, c
+        if self.kind is CurveKind.ELLIPSE:
+            a, b = self.params["a"], self.params["b"]
+            c, sn = xp.cos(u), xp.sin(u)
+            sp = xp.hypot(a * sn, b * c)
+            return a * c, b * sn, -a * sn / sp, b * c / sp
+        if xp is math:
+            return self._stadium_piece_frame(bisect.bisect_right(self._junctions, u) - 1, u)
+        piece = np.searchsorted(self._junctions, u, side="right") - 1
+        frame = tuple(np.empty_like(u) for _ in range(4))
+        for k in range(4):
+            m = piece == k
+            for out, value in zip(frame, self._stadium_piece_frame(k, u[m])):
+                out[m] = value
+        return frame
+
+    def _stadium_piece_frame(self, k, s):
+        """Frame on stadium piece k: right cap, top, left cap, bottom straight."""
+        l, rho = self.params["half_length"], self.params["cap_radius"]
+        ds = s - self._junctions[k]
+        if k == 1:
+            return l - ds, rho, -1.0, 0.0
+        if k == 3:
+            return -l + ds, -rho, 1.0, 0.0
+        xp = math_or_numpy(s)
+        phi = (k - 1) * 0.5 * math.pi + ds / rho
+        c, sn = xp.cos(phi), xp.sin(phi)
+        return (l if k == 0 else -l) + rho * c, rho * sn, -sn, c
+
+    def _exit(self, x, y, dx, dy):
+        """Native parameter of a ray's boundary exit, and the travel to it.
+
+        The ray starts inside the curve or on it, pointing strictly inward,
+        along the unit vector (dx, dy).
+        """
+        xp = math_or_numpy(x)
+        if self.kind is CurveKind.STADIUM:
+            travel = self._stadium_travel(x, y, dx, dy)
+            u = self._stadium_s_of_point(x + travel * dx, y + travel * dy)
+        else:
+            # larger root of qa t^2 + 2 qb t + qc = 0, where the ray crosses
+            # (x/a)^2 + (y/b)^2 = 1; the other root is <= 0.  On the circle
+            # qa = 1 exactly, since the direction is a unit vector.
+            if self.kind is CurveKind.CIRCLE:
+                a = b = self.params["radius"]
+                qa, qb, qc = 1.0, x * dx + y * dy, x * x + y * y - a * a
+            else:
+                a, b = self.params["a"], self.params["b"]
+                ox, oy, ex, ey = x / a, y / b, dx / a, dy / b
+                qa, qb, qc = ex * ex + ey * ey, ox * ex + oy * ey, ox * ox + oy * oy - 1.0
+            disc = qb * qb - qa * qc
+            # a tangent launch may round disc below 0; it then fails the
+            # travel check below instead of the square root
+            travel = (xp.sqrt(disc * (disc > 0)) - qb) / qa
+            u = xp.atan2((y + travel * dy) / b, (x + travel * dx) / a) % (2.0 * math.pi)
+        ok = travel > _GEOMETRIC_TOL * max(1.0, self.total_length)
+        if not (ok if xp is math else ok.all()):
+            raise TangentLaunchError(
+                "ray has no transversal boundary exit (glancing or outward launch)"
+            )
+        return u, travel
+
+    def _stadium_travel(self, x, y, dx, dy):
+        """Exit travel of rays from inside the stadium.
+
+        The stadium is the union of the rectangle |x| <= l, |y| <= rho and the
+        two cap discs, so a line meets it in one interval whose far end is the
+        largest far end over the pieces.  The rectangle's far end counts only
+        where it lies on a straight: its other sides lie inside a disc.
+        """
+        l, rho = self.params["half_length"], self.params["cap_radius"]
+        if math_or_numpy(x) is math:
+            far = -math.inf
+            if dy != 0.0:
+                t = (math.copysign(rho, dy) - y) / dy
+                if abs(x + t * dx) <= l:
+                    far = t
+            for cx in (l, -l):
+                qb, disc = _disc_quadratic(x - cx, y, dx, dy, rho)
+                if disc >= 0.0:
+                    far = max(far, math.sqrt(disc) - qb)
+            return far
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.copysign(rho, dy) - y) / dy
+            far = np.where(np.abs(x + t * dx) <= l, t, -np.inf)
+            for cx in (l, -l):
+                qb, disc = _disc_quadratic(x - cx, y, dx, dy, rho)
+                far = np.fmax(far, np.sqrt(disc) - qb)
+        return far
+
+    def _stadium_s_of_point(self, x, y):
+        """Arclength of the stadium boundary point (x, y)."""
+        l = self.params["half_length"]
+        if math_or_numpy(x) is math:
+            piece = (1 if y > 0 else 3) if abs(x) <= l else (0 if x > 0 else 2)
+            return self._stadium_piece_s(piece, x, y) % self.total_length
+        piece = np.where(np.abs(x) <= l, np.where(y > 0, 1, 3), np.where(x > 0, 0, 2))
+        s = np.empty_like(x)
+        for k in range(4):
+            m = piece == k
+            s[m] = self._stadium_piece_s(k, x[m], y[m])
+        return s % self.total_length
+
+    def _stadium_piece_s(self, k, x, y):
+        """Arclength of the point (x, y) of stadium piece k (see _frame)."""
+        l, rho = self.params["half_length"], self.params["cap_radius"]
+        b = self._junctions[k]
+        if k == 1:
+            return b + (l - x)
+        if k == 3:
+            return b + (x + l)
+        xp = math_or_numpy(x)
+        if k == 0:
+            return rho * (xp.atan2(y, x - l) + 0.5 * math.pi)
+        return b + rho * (xp.atan2(y, x + l) % (2.0 * math.pi) - 0.5 * math.pi)
+
     # -- pointwise data ------------------------------------------------------
 
     def point_at(self, s: float) -> SurfacePoint:
@@ -175,71 +329,26 @@ class BoundaryCurve:
     def point_many(self, s) -> dict:
         """Vectorized point data for an array of arclengths."""
         s = np.mod(np.asarray(s, dtype=float), self.total_length)
-        if self.kind is CurveKind.ELLIPSE:
-            return self._ellipse_arrays(s, self._t_of_s(s))
+        return self._point_data(s, self._u_of_s(s))
+
+    def _point_data(self, s, u):
+        """point_many data of the points with arclength s and native parameter u."""
+        x, y, tx, ty = self._frame(u)
         if self.kind is CurveKind.CIRCLE:
-            r = self.params["radius"]
-            t = s / r
-            ct, st = np.cos(t), np.sin(t)
-            pos = np.stack([r * ct, r * st], axis=-1)
-            nor = np.stack([ct, st], axis=-1)
-            tan = np.stack([-st, ct], axis=-1)
-            kap = np.full_like(s, 1.0 / r)
+            kap = np.full_like(s, 1.0 / self.params["radius"])
+        elif self.kind is CurveKind.ELLIPSE:
+            kap = self.params["a"] * self.params["b"] / self._speed(u) ** 3
         else:
-            pos, tan, nor, kap = self._stadium_point_arrays(s)
-        return {"s": s, "position": pos, "tangent": tan, "normal": nor, "curvature": kap}
-
-    def _ellipse_arrays(self, s, t):
-        """point_many data of the ellipse points with arclength s and angle t."""
-        a, b = self.params["a"], self.params["b"]
-        ct, st = np.cos(t), np.sin(t)
-        sp = self._speed(t)
-        pos = np.stack([a * ct, b * st], axis=-1)
-        tan = np.stack([-a * st / sp, b * ct / sp], axis=-1)
-        nor = np.stack([b * ct / sp, a * st / sp], axis=-1)
-        return {"s": s, "position": pos, "tangent": tan, "normal": nor, "curvature": a * b / sp**3}
-
-    def _stadium_point_arrays(self, s):
-        l = self.params["half_length"]
-        rho = self.params["cap_radius"]
-        L_cap = math.pi * rho
-        b0, b1, b2, b3 = 0.0, L_cap, L_cap + 2 * l, 2 * L_cap + 2 * l
-        pos = np.empty(s.shape + (2,))
-        tan = np.empty_like(pos)
-        nor = np.empty_like(pos)
-        kap = np.zeros_like(s)
-
-        m = s < b1                                    # right cap
-        phi = -0.5 * math.pi + s[m] / rho
-        pos[m] = np.stack([l + rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        nor[m] = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        tan[m] = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-        kap[m] = 1.0 / rho
-
-        m = (s >= b1) & (s < b2)                      # top straight
-        x = l - (s[m] - b1)
-        pos[m] = np.stack([x, np.full_like(x, rho)], axis=-1)
-        tan[m] = np.tile([-1.0, 0.0], (x.size, 1))
-        nor[m] = np.tile([0.0, 1.0], (x.size, 1))
-
-        m = (s >= b2) & (s < b3)                      # left cap
-        phi = 0.5 * math.pi + (s[m] - b2) / rho
-        pos[m] = np.stack([-l + rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        nor[m] = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        tan[m] = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-        kap[m] = 1.0 / rho
-
-        m = s >= b3                                   # bottom straight
-        x = -l + (s[m] - b3)
-        pos[m] = np.stack([x, np.full_like(x, -rho)], axis=-1)
-        tan[m] = np.tile([1.0, 0.0], (x.size, 1))
-        nor[m] = np.tile([0.0, -1.0], (x.size, 1))
-
-        # junction parameters carry the one-sided cap curvature
-        eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
-        for junction in (0.0, b1, b2, b3, self.total_length):
-            kap[np.abs(s - junction) < eps] = 1.0 / rho
-        return pos, tan, nor, kap
+            rho = self.params["cap_radius"]
+            piece = np.searchsorted(self._junctions, s, side="right") - 1
+            kap = np.where(piece % 2 == 0, 1.0 / rho, 0.0)
+            # junction parameters carry the one-sided cap curvature
+            eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
+            for junction in self._junctions + (self.total_length,):
+                kap[np.abs(s - junction) < eps] = 1.0 / rho
+        return {"s": s, "position": np.stack([x, y], axis=-1),
+                "tangent": np.stack([tx, ty], axis=-1),
+                "normal": np.stack([ty, -tx], axis=-1), "curvature": kap}
 
     # -- angle <-> arclength -------------------------------------------------
 
@@ -260,12 +369,10 @@ class BoundaryCurve:
         return float(self._s_of_t(float(t)))
 
     def angle_of_arclength(self, s: float) -> float:
-        """Inverse of arclength_of_angle."""
-        if self.kind is CurveKind.CIRCLE:
-            return float(np.mod(s, self.total_length)) / self.params["radius"]
-        if self.kind is CurveKind.ELLIPSE:
-            return float(self._t_of_s(float(s)))
-        raise UnsupportedCurveKindError("angle parametrization undefined for the stadium")
+        """Inverse of arclength_of_angle, in [0, 2pi)."""
+        if self.kind is CurveKind.STADIUM:
+            raise UnsupportedCurveKindError("angle parametrization undefined for the stadium")
+        return float(self._u_of_s(float(s)))
 
     # -- global metrics ------------------------------------------------------
 
@@ -310,101 +417,21 @@ class BoundaryCurve:
         """Vectorized ray exits; origins (N,2), unit directions (N,2).
 
         Returns (data, travel): data is the point_many dict of the exit
-        points and travel the distance to them.  The ellipse builds data from
-        the hit angle, so no arclength is inverted.
+        points and travel the distance to them.
         """
         o = np.asarray(origins, dtype=float)
         d = np.asarray(directions, dtype=float)
-        tmin = _GEOMETRIC_TOL * max(1.0, self.total_length)
-        if self.kind is CurveKind.CIRCLE:
-            r = self.params["radius"]
-            b = np.sum(o * d, axis=1)
-            c = np.sum(o * o, axis=1) - r * r
-            travel = self._positive_quadratic_root(np.ones_like(b), b, c, tmin)
-            hit = o + travel[:, None] * d
-            s = np.mod(np.arctan2(hit[:, 1], hit[:, 0]), 2 * math.pi) * r
-            return self.point_many(s), travel
-        if self.kind is CurveKind.ELLIPSE:
-            a, bb = self.params["a"], self.params["b"]
-            os_ = o / np.array([a, bb])
-            ds_ = d / np.array([a, bb])
-            qa = np.sum(ds_ * ds_, axis=1)
-            qb = np.sum(os_ * ds_, axis=1)
-            qc = np.sum(os_ * os_, axis=1) - 1.0
-            travel = self._positive_quadratic_root(qa, qb, qc, tmin)
-            hit = o + travel[:, None] * d
-            t = np.mod(np.arctan2(hit[:, 1] / bb, hit[:, 0] / a), 2 * math.pi)
-            return self._ellipse_arrays(np.mod(self._s_of_t(t), self.total_length), t), travel
-        s, travel = self._stadium_ray_exit(o, d)
-        return self.point_many(s), travel
+        u, travel = self._exit(o[:, 0], o[:, 1], d[:, 0], d[:, 1])
+        return self._point_data(self._s_of_u(u), u), travel
 
-    @staticmethod
-    def _positive_quadratic_root(qa, qb, qc, tmin):
-        """Smallest root > tmin of qa t^2 + 2 qb t + qc = 0 (stable form)."""
-        disc = qb * qb - qa * qc
-        bad = disc < 0
-        sq = np.sqrt(np.where(bad, 0.0, disc))
-        # roots via the numerically stable pairing
-        qmag = -(qb + np.sign(qb + (qb == 0)) * sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = qmag / qa
-            r2 = np.where(qmag != 0, qc / qmag, np.inf)
-        lo = np.minimum(r1, r2)
-        hi = np.maximum(r1, r2)
-        travel = np.where(lo > tmin, lo, hi)
-        if np.any(bad) or np.any(travel <= tmin) or not np.all(np.isfinite(travel)):
-            raise TangentLaunchError(
-                "ray has no transversal boundary exit (glancing or outward launch)"
-            )
-        return travel
 
-    def _stadium_ray_exit(self, o, d):
-        l = self.params["half_length"]
-        rho = self.params["cap_radius"]
-        eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
-        n = o.shape[0]
-        best_t = np.full(n, np.inf)
-        best_s = np.zeros(n)
+def math_or_numpy(x):
+    """The module whose elementary functions suit x: numpy for an array,
+    math for a float, which costs far less per call on one value."""
+    return np if isinstance(x, np.ndarray) else math
 
-        # straights y = +rho (top) and y = -rho (bottom), |x| <= l
-        for ysign, s_of_x in (
-            (1.0, lambda x: math.pi * rho + (l - x)),
-            (-1.0, lambda x: 2 * math.pi * rho + 2 * l + (x + l)),
-        ):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (ysign * rho - o[:, 1]) / d[:, 1]
-                x = o[:, 0] + t * d[:, 0]
-            ok = np.isfinite(t) & (t > eps) & (np.abs(x) <= l + eps) & (t < best_t)
-            best_t = np.where(ok, t, best_t)
-            best_s = np.where(ok, s_of_x(np.clip(x, -l, l)), best_s)
 
-        # caps centered (+-l, 0); keep hits on the outer half
-        for cx, which in ((l, "right"), (-l, "left")):
-            oc = o - np.array([cx, 0.0])
-            qb = np.sum(oc * d, axis=1)
-            qc = np.sum(oc * oc, axis=1) - rho * rho
-            disc = qb * qb - qc
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            for root in (-qb - sq, -qb + sq):
-                t = np.where(disc >= 0, root, np.inf)
-                with np.errstate(invalid="ignore"):
-                    hx = o[:, 0] + t * d[:, 0]
-                    hy = o[:, 1] + t * d[:, 1]
-                    on_half = hx >= cx - eps if which == "right" else hx <= cx + eps
-                ok = (t > eps) & on_half & np.isfinite(t) & (t < best_t)
-                if not ok.any():
-                    continue
-                phi = np.arctan2(hy, hx - cx)
-                if which == "right":
-                    s = rho * (phi + 0.5 * math.pi)
-                else:
-                    phi = np.mod(phi, 2 * math.pi)  # [pi/2, 3pi/2]
-                    s = math.pi * rho + 2 * l + rho * (phi - 0.5 * math.pi)
-                best_t = np.where(ok, t, best_t)
-                best_s = np.where(ok, s, best_s)
-
-        if not np.all(np.isfinite(best_t)):
-            raise TangentLaunchError(
-                "ray has no transversal boundary exit (glancing or outward launch)"
-            )
-        return np.mod(best_s, self.total_length), best_t
+def _disc_quadratic(ox, oy, dx, dy, rho):
+    """(qb, qb^2 - qc) of |o + t d|^2 = rho^2 written t^2 + 2 qb t + qc = 0."""
+    qb = ox * dx + oy * dy
+    return qb, qb * qb - (ox * ox + oy * oy - rho * rho)

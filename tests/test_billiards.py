@@ -1,5 +1,6 @@
 """Billiard map, reflectivity averages and decay-rate bounds."""
 
+import collections
 import math
 
 import numpy as np
@@ -113,6 +114,21 @@ def test_near_glancing_quadratic_drift(ellipse21):
     assert max(constants) / min(constants) < 2.0
 
 
+def test_scalar_and_array_steps_agree(rng, unit_circle, ellipse21, stadium11):
+    # one orbit steps on floats through math, the Sabine grid on arrays
+    for curve in (unit_circle, ellipse21, stadium11):
+        L = curve.total_length
+        s = rng.uniform(0, L, 200)
+        xi = rng.uniform(-0.9, 0.9, 200)
+        u, _, xi_next, chord = bl._step(curve, curve._frame(curve._u_of_s(s)), xi)
+        s_next = curve._s_of_u(u)
+        for k in range(s.size):
+            seg = bl.billiard_step(curve, PhasePoint(float(s[k]), float(xi[k])))
+            assert abs((seg.end.s - s_next[k] + 0.5 * L) % L - 0.5 * L) < 1e-12
+            assert abs(seg.end.xi - xi_next[k]) < 1e-12
+            assert abs(seg.chord_length - chord[k]) < 1e-12
+
+
 def test_chord_average(unit_circle, ellipse21):
     assert abs(bl.chord_average(unit_circle, PhasePoint(0, 0), 7) - 2.0) < 1e-12
     assert abs(bl.chord_average(unit_circle, PhasePoint(0, 0.5), 3) - math.sqrt(3)) < 1e-12
@@ -191,6 +207,59 @@ def test_sabine_gap_delta_prime_closed_form(unit_circle):
     report = bl.sabine_gap(unit_circle, 0.01, pot, Model.DELTA_PRIME)
     closed = math.log(1 + 4 * 0.01**0.2) / 4
     assert abs(report.bound - closed) <= 0.01 * closed
+
+
+@pytest.mark.parametrize("h", [0.01, 0.03, 0.1])
+def test_sabine_gap_ellipse_closed_forms(ellipse21, h):
+    d = 4.0
+    delta = bl.sabine_gap(ellipse21, h, POT1, Model.DELTA).bound
+    diameter = (math.log(1 / h) + 0.5 * math.log(4.0)) / d
+    assert abs(delta - diameter) <= 1e-3 * diameter
+    prime = bl.sabine_gap(ellipse21, h, PotentialSpec(V0=1.0, alpha=0.8), Model.DELTA_PRIME).bound
+    orbit = math.log(1 + 4 * h ** (2 - 2 * 0.8)) / (2 * d)
+    assert abs(prime - orbit) <= 1e-2 * orbit
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA_PRIME, 0.8)])
+@pytest.mark.parametrize("varying", [False, True])
+def test_grid_bound_is_orbit_average_at_minimizer(spec, model, alpha, varying):
+    # the grid's array orbits and iterate's scalar orbits give one value
+    curve = BoundaryCurve.from_spec(spec)
+    L = curve.total_length
+    profile = (lambda s: 1.0 + 0.5 * np.cos(2 * np.pi * np.asarray(s) / L)) if varying else None
+    pot = PotentialSpec(V0=1.0, alpha=alpha, profile=profile)
+    h = 0.05
+    report = bl.sabine_gap(curve, h, pot, model, grid=(32, 17), n_average=6)
+    n = report.n_average
+    logr = bl.reflectivity_log_average(curve, report.minimizer, n, h, pot, model)
+    expect = -logr / bl.chord_average(curve, report.minimizer, n)
+    assert abs(report.bound - expect) <= 1e-12 * abs(expect)
+
+
+def test_constant_profile_steps_without_arclength_map(monkeypatch):
+    # the grid maps s -> t once; its steps evaluate no elliptic integral
+    ellipse = BoundaryCurve.ellipse(2.0, 1.0)
+    calls = collections.Counter()
+    for name in ("_s_of_t", "_t_of_s"):
+        def counted(self, x, _original=getattr(BoundaryCurve, name), _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(BoundaryCurve, name, counted)
+    counts = []
+    for n_average in (2, 8):
+        calls.clear()
+        bl.sabine_gap(ellipse, 0.05, POT1, Model.DELTA, n_average=n_average)
+        counts.append(dict(calls))
+    assert counts[0]["_t_of_s"] > 0
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("grid, sampled", [((16, 16), (16, 17)), ((16, 17), (16, 17)),
+                                           ((20, 32), (20, 33))])
+def test_sabine_report_records_sampled_grid(unit_circle, grid, sampled):
+    report = bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, grid=grid, n_average=2)
+    assert report.grid == sampled
 
 
 def test_sabine_gap_rotation_invariance(unit_circle):

@@ -40,6 +40,7 @@ def test_sabine_bound_output(tmp_path, capsys):
     assert match and abs(float(match.group(1)) - 2.649) < 0.013   # 2.649 +- 0.5%
     header, row = out.read_text().strip().splitlines()
     assert header == "h,model,bound,min_s,min_xi,grid,converged"
+    assert row.split(",")[5] == "64x65"   # the sampled grid: the xi count is made odd
     assert row.endswith("true")
 
 
