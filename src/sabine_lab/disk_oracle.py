@@ -171,12 +171,16 @@ def _certified_solve(f, fprime, z0: complex, eps0: float) -> NewtonResult:
         result = attempt(refined, eps0 / 4.0)
     # polish the certified root with fresh-derivative steps
     z = result.root
+    fz = f(z)
     for _ in range(3):
-        dfz = fprime(z)
-        if dfz == 0 or abs(f(z)) < 1e-14:
+        if abs(fz) < 1e-14:
             break
-        z = z - f(z) / dfz
-    return NewtonResult(root=z, residual=abs(f(z)),
+        dfz = fprime(z)
+        if dfz == 0:
+            break
+        z = z - fz / dfz
+        fz = f(z)
+    return NewtonResult(root=z, residual=abs(fz),
                         contraction=result.contraction, iterations=result.iterations)
 
 

@@ -67,7 +67,3 @@ class WindowMissError(SabineLabError):
 
 class NotAResonanceError(SabineLabError):
     """Local refinement converged but failed the residual/conditioning gates."""
-
-
-class RefinementDriftError(SabineLabError):
-    """Local refinement drifted out of the search window."""

@@ -5,6 +5,13 @@ Supported kinds: circle, ellipse (a >= b > 0) and the Bunimovich stadium
 Circle and ellipse are smooth and strictly convex; the stadium is the C^{1,1}
 case with curvature jumps at the four cap junctions.
 
+The stadium is the rho-neighbourhood of the segment [-l, l] x {0}: its point
+at arclength s is (c_x + rho cos phi, rho sin phi), where (c_x, 0) is the
+nearest point of the segment and phi the outward normal angle.  phi turns
+only on the caps and c_x moves only on the straights, so both are sums of
+clipped linear functions of s, and a boundary point gives back c_x =
+clip(x, -l, l) and phi = atan2(y, x - c_x).
+
 The ellipse x = a cos t, y = b sin t has arclength s(t) = b E(t | 1 - a^2/b^2),
 the incomplete elliptic integral of the second kind (DLMF 19.2.5); the inverse
 t(s) is a monotone spline through s(t) at equispaced angles, polished by two
@@ -22,7 +29,6 @@ every method is safe for concurrent reads.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -36,7 +42,7 @@ from .errors import TangentLaunchError, UnsupportedCurveKindError
 
 # relative to max(1, perimeter): the shortest travel a ray exit accepts (so a
 # boundary launch does not re-hit its own origin) and the arclength window
-# around a stadium junction that carries the cap curvature
+# at the end of a stadium straight that carries the cap curvature
 _GEOMETRIC_TOL = 1e-12
 _ELLIPSE_SPLINE_INTERVALS = 4096
 
@@ -109,9 +115,6 @@ class BoundaryCurve:
             if l <= 0 or rho <= 0:
                 raise ValueError("stadium requires positive half-length and cap radius")
             self.total_length = 4.0 * l + 2.0 * math.pi * rho
-            # arclengths where the right cap, top, left cap and bottom begin
-            cap = math.pi * rho
-            self._junctions = (0.0, cap, cap + 2 * l, 2 * cap + 2 * l)
         else:  # pragma: no cover
             raise UnsupportedCurveKindError(f"unknown curve kind {kind}")
 
@@ -210,28 +213,26 @@ class BoundaryCurve:
             c, sn = xp.cos(u), xp.sin(u)
             sp = xp.hypot(a * sn, b * c)
             return a * c, b * sn, -a * sn / sp, b * c / sp
-        if xp is math:
-            return self._stadium_piece_frame(bisect.bisect_right(self._junctions, u) - 1, u)
-        piece = np.searchsorted(self._junctions, u, side="right") - 1
-        frame = tuple(np.empty_like(u) for _ in range(4))
-        for k in range(4):
-            m = piece == k
-            for out, value in zip(frame, self._stadium_piece_frame(k, u[m])):
-                out[m] = value
-        return frame
-
-    def _stadium_piece_frame(self, k, s):
-        """Frame on stadium piece k: right cap, top, left cap, bottom straight."""
         l, rho = self.params["half_length"], self.params["cap_radius"]
-        ds = s - self._junctions[k]
-        if k == 1:
-            return l - ds, rho, -1.0, 0.0
-        if k == 3:
-            return -l + ds, -rho, 1.0, 0.0
-        xp = math_or_numpy(s)
-        phi = (k - 1) * 0.5 * math.pi + ds / rho
-        c, sn = xp.cos(phi), xp.sin(phi)
-        return (l if k == 0 else -l) + rho * c, rho * sn, -sn, c
+        phi, cx = self._stadium_normal(u)
+        # cos(pi/2) rounds to 6e-17, not 0: zero it inside the straights, so
+        # that their tangents are exactly (-+1, 0)
+        c, sn = xp.cos(phi) * (abs(cx) >= l), xp.sin(phi)
+        return cx + rho * c, rho * sn, -sn, c
+
+    def _stadium_normal(self, s):
+        """Outward normal angle phi and nearest segment abscissa c_x of the
+        stadium point at arclength s in [0, total_length].
+
+        s = 0 is the junction (l, -rho); the right cap turns phi from -pi/2
+        to pi/2, the top runs c_x from l to -l, the left cap turns phi on to
+        3pi/2 and the bottom runs c_x back to l.
+        """
+        l, rho = self.params["half_length"], self.params["cap_radius"]
+        cap = math.pi * rho
+        phi = (_clip(s, 0.0, cap) + _clip(s - cap - 2.0 * l, 0.0, cap)) / rho - 0.5 * math.pi
+        cx = l - _clip(s - cap, 0.0, 2.0 * l) + _clip(s - 2.0 * cap - 2.0 * l, 0.0, 2.0 * l)
+        return phi, cx
 
     def _exit(self, x, y, dx, dy):
         """Native parameter of a ray's boundary exit, and the travel to it.
@@ -269,56 +270,45 @@ class BoundaryCurve:
     def _stadium_travel(self, x, y, dx, dy):
         """Exit travel of rays from inside the stadium.
 
-        The stadium is the union of the rectangle |x| <= l, |y| <= rho and the
-        two cap discs, so a line meets it in one interval whose far end is the
-        largest far end over the pieces.  The rectangle's far end counts only
-        where it lies on a straight: its other sides lie inside a disc.
+        A ray leaves through the straight y = +-rho it heads for when it meets
+        that line within |x| < l.  Otherwise it leaves through the cap on the
+        side where it meets the line (a level ray meets it at x = +-inf, on
+        the side dx points to), as the far root of that one cap disc.
         """
         l, rho = self.params["half_length"], self.params["cap_radius"]
-        if math_or_numpy(x) is math:
-            far = -math.inf
-            if dy != 0.0:
-                t = (math.copysign(rho, dy) - y) / dy
-                if abs(x + t * dx) <= l:
-                    far = t
-            for cx in (l, -l):
-                qb, disc = _disc_quadratic(x - cx, y, dx, dy, rho)
-                if disc >= 0.0:
-                    far = max(far, math.sqrt(disc) - qb)
-            return far
+        xp = math_or_numpy(x)
+        rise = xp.copysign(rho, dy) - y
+        # the ray meets the line at x + rise dx / dy; run is that times dy, so
+        # a level ray needs no division and sign(run * dy) is its side
+        run = x * dy + rise * dx
+        straight = abs(run) < l * abs(dy)
+        # far root of |o + t d|^2 = rho^2, o the start relative to the cap
+        # centre; its discriminant is rho^2 - (o x d)^2 for a unit d, which
+        # does not cancel when o is far from the centre
+        ox = x - xp.copysign(l, run * dy)
+        miss = ox * dy - y * dx
+        disc = rho * rho - miss * miss
+        through_cap = xp.sqrt(disc * (disc > 0)) - (ox * dx + y * dy)
+        if xp is math:
+            return rise / dy if straight else through_cap
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (np.copysign(rho, dy) - y) / dy
-            far = np.where(np.abs(x + t * dx) <= l, t, -np.inf)
-            for cx in (l, -l):
-                qb, disc = _disc_quadratic(x - cx, y, dx, dy, rho)
-                far = np.fmax(far, np.sqrt(disc) - qb)
-        return far
+            return np.where(straight, rise / dy, through_cap)
 
     def _stadium_s_of_point(self, x, y):
-        """Arclength of the stadium boundary point (x, y)."""
-        l = self.params["half_length"]
-        if math_or_numpy(x) is math:
-            piece = (1 if y > 0 else 3) if abs(x) <= l else (0 if x > 0 else 2)
-            return self._stadium_piece_s(piece, x, y) % self.total_length
-        piece = np.where(np.abs(x) <= l, np.where(y > 0, 1, 3), np.where(x > 0, 0, 2))
-        s = np.empty_like(x)
-        for k in range(4):
-            m = piece == k
-            s[m] = self._stadium_piece_s(k, x[m], y[m])
-        return s % self.total_length
+        """Arclength of the stadium boundary point (x, y); inverts
+        _stadium_normal.
 
-    def _stadium_piece_s(self, k, x, y):
-        """Arclength of the point (x, y) of stadium piece k (see _frame)."""
+        The caps give rho (phi + pi/2); the straight run l - c_x adds on the
+        top and is run backwards from s = 0 on the bottom.  Its sign comes
+        from y, whose signed zero also picks atan2's branch at y = +-0.
+        """
         l, rho = self.params["half_length"], self.params["cap_radius"]
-        b = self._junctions[k]
-        if k == 1:
-            return b + (l - x)
-        if k == 3:
-            return b + (x + l)
         xp = math_or_numpy(x)
-        if k == 0:
-            return rho * (xp.atan2(y, x - l) + 0.5 * math.pi)
-        return b + rho * (xp.atan2(y, x + l) % (2.0 * math.pi) - 0.5 * math.pi)
+        cx = _clip(x, -l, l)
+        s = rho * (xp.atan2(y, x - cx) + 0.5 * math.pi) + xp.copysign(l - cx, y)
+        # an s just below 0 (the bottom's end) rounds to total_length in the
+        # first %; the second maps it to 0
+        return s % self.total_length % self.total_length
 
     # -- pointwise data ------------------------------------------------------
 
@@ -339,13 +329,11 @@ class BoundaryCurve:
         elif self.kind is CurveKind.ELLIPSE:
             kap = self.params["a"] * self.params["b"] / self._speed(u) ** 3
         else:
-            rho = self.params["cap_radius"]
-            piece = np.searchsorted(self._junctions, s, side="right") - 1
-            kap = np.where(piece % 2 == 0, 1.0 / rho, 0.0)
-            # junction parameters carry the one-sided cap curvature
+            # a straight's end within eps of a junction carries the one-sided
+            # cap curvature
             eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
-            for junction in self._junctions + (self.total_length,):
-                kap[np.abs(s - junction) < eps] = 1.0 / rho
+            inside = np.abs(self._stadium_normal(u)[1]) < self.params["half_length"] - eps
+            kap = np.where(inside, 0.0, 1.0 / self.params["cap_radius"])
         return {"s": s, "position": np.stack([x, y], axis=-1),
                 "tangent": np.stack([tx, ty], axis=-1),
                 "normal": np.stack([ty, -tx], axis=-1), "curvature": kap}
@@ -362,7 +350,7 @@ class BoundaryCurve:
         if self.kind is CurveKind.STADIUM:
             raise UnsupportedCurveKindError(
                 "arclength_of_angle is undefined for the stadium; it is natively "
-                "arclength-parametrized piecewise"
+                "arclength-parametrized"
             )
         if self.kind is CurveKind.CIRCLE:
             return self.params["radius"] * float(t)
@@ -431,7 +419,10 @@ def math_or_numpy(x):
     return np if isinstance(x, np.ndarray) else math
 
 
-def _disc_quadratic(ox, oy, dx, dy, rho):
-    """(qb, qb^2 - qc) of |o + t d|^2 = rho^2 written t^2 + 2 qb t + qc = 0."""
-    qb = ox * dx + oy * dy
-    return qb, qb * qb - (ox * ox + oy * oy - rho * rho)
+def _clip(v, lo, hi):
+    """v clipped to [lo, hi], a float or elementwise; saturates exactly."""
+    if isinstance(v, np.ndarray):
+        return np.clip(v, lo, hi)
+    # a third of the cost of min(max(v, lo), hi) on a float
+    return lo if v < lo else hi if v > hi else v
+

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from .bie import NystromGrid, sigma_min_boundary_operator
 from .billiards import Model, PotentialSpec, sabine_gap
 from .disk_oracle import BieProvenance, ResonanceCandidate
-from .errors import NotAResonanceError, RefinementDriftError, SabineLabError
+from .errors import NotAResonanceError, SabineLabError
 from .geometry import BoundaryCurve
 
 _DEDUP_TOL = 1e-6
@@ -126,8 +126,9 @@ def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
     The initial simplex spans about one coarse cell and a penalty wall keeps
     the search in the seed's basin (resonances can sit a few cells apart).
     Accepts the converged point iff sigma_min < accept_tolerance(quad_n) and
-    the condition number exceeds its reciprocal; optionally rejects points
-    that drift out of the search window.
+    the condition number exceeds its reciprocal.  A window, when given, only
+    sets the simplex scale to its coarse cell; the caller keeps or drops the
+    root by the window.
     """
     grid = NystromGrid.build(curve, quad_n)
     big = 1e6
@@ -166,11 +167,6 @@ def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
     )
     z = complex(result.x[0], min(result.x[1], 0.0))
     conditioning = sigma_min_boundary_operator(grid, z, h, pot)
-    if window is not None and not window.contains(z, margin=0.02 * (
-            window.re_range[1] - window.re_range[0])):
-        raise RefinementDriftError(
-            f"refinement drifted from {z_start} to {z}, outside the window"
-        )
     tol = accept_tolerance(quad_n)
     if not (conditioning.sigma_min < tol and conditioning.cond > 1.0 / tol):
         raise NotAResonanceError(
@@ -199,7 +195,7 @@ def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSp
     def refine_seed(seed):
         try:
             return refine(seed, curve, pot, window.h, window.quad_n, window=window)
-        except (NotAResonanceError, RefinementDriftError):
+        except NotAResonanceError:
             return None
 
     results = [refine_seed(seed) for seed in seeds]

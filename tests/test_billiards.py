@@ -79,6 +79,32 @@ def test_xi_conservation_long_orbit(unit_circle):
     assert drift < 1e-12
 
 
+@pytest.mark.parametrize("s0, xi0", [(1.0, -0.7), (0.1, -0.2), (0.5, 0.05)])
+def test_xi_drift_at_most_linear(unit_circle, s0, xi0):
+    # xi is the same at every bounce, so its rounding bias repeats and the
+    # drift grows linearly with the orbit length: n eps bounds it at n steps
+    n = 10_000
+    segs = bl.iterate(unit_circle, PhasePoint(s0, xi0), n)
+    drift = max(abs(seg.end.xi - xi0) for seg in segs)
+    assert drift <= n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("l, rho", [(1.0, 1.0), (0.3, 2.7), (5.0, 0.2), (1e-3, 1.0),
+                                    (100.0, 0.01)])
+@pytest.mark.parametrize("xi", [0.0, -0.0])
+def test_stadium_long_axis_step(l, rho, xi):
+    # launched level (dy = +-0.0) from the right extreme: the float step must
+    # not divide by dy, and lands on the left extreme.  The chord is exact to
+    # rounding even when the start is 2l >> rho from the far cap's centre; the
+    # landing angle is resolved to eps L / rho, the arclength's resolution.
+    curve = BoundaryCurve.stadium(l, rho)
+    eps = np.finfo(float).eps
+    seg = bl.billiard_step(curve, PhasePoint(0.5 * math.pi * rho, xi))
+    assert abs(seg.end.s - (1.5 * math.pi * rho + 2.0 * l)) < 1e-14 * curve.total_length
+    assert abs(seg.chord_length - 2.0 * (l + rho)) < 1e-14 * (l + rho)
+    assert abs(seg.end.xi) <= eps * curve.total_length / rho
+
+
 def test_generating_function_momenta(rng, ellipse21):
     # departure momentum = -d_x|x-y| . tangent(x); arrival = d_y|x-y| . tangent(y)
     for _ in range(50):

@@ -229,12 +229,73 @@ def test_tangent_launch_rejected(unit_circle):
         unit_circle.ray_exit(p.position, p.unit_tangent)
 
 
-def test_stadium_junction_curvature(stadium11):
-    rho = stadium11.params["cap_radius"]
-    junctions = [0.0, math.pi * rho, math.pi * rho + 2.0, 2 * math.pi * rho + 2.0]
-    for s in junctions:
-        assert stadium11.point_at(s).curvature == 1.0 / rho
-    assert stadium11.point_at(math.pi * rho + 1.0).curvature == 0.0
+STADIUM_SHAPES = [(1.0, 1.0), (0.3, 2.7), (5.0, 0.2), (1e-3, 1.0), (100.0, 0.01)]
+
+
+@pytest.mark.parametrize("l, rho", STADIUM_SHAPES)
+def test_stadium_junction_curvature(l, rho):
+    curve = BoundaryCurve.stadium(l, rho)
+    cap = math.pi * rho
+    for s in (0.0, cap, cap + 2.0 * l, 2.0 * cap + 2.0 * l, curve.total_length):
+        assert curve.point_at(s).curvature == 1.0 / rho
+    # straight midpoints
+    for s in (cap + l, 2.0 * cap + 3.0 * l):
+        assert curve.point_at(s).curvature == 0.0
+
+
+@pytest.mark.parametrize("l, rho", STADIUM_SHAPES)
+def test_stadium_ray_exit_from_centre(l, rho):
+    curve = BoundaryCurve.stadium(l, rho)
+    cap = math.pi * rho
+    cases = [((1.0, 0.0), (l + rho, 0.0), 0.5 * cap, l + rho),
+             ((-1.0, 0.0), (-l - rho, 0.0), 1.5 * cap + 2.0 * l, l + rho),
+             ((0.0, 1.0), (0.0, rho), cap + l, rho),
+             ((0.0, -1.0), (0.0, -rho), 2.0 * cap + 3.0 * l, rho)]
+    for direction, position, s, travel in cases:
+        hit = curve.ray_exit((0.0, 0.0), direction)
+        assert np.allclose(hit.point.position, position, rtol=0.0, atol=1e-14 * (l + rho))
+        assert abs(hit.point.s - s) < 1e-14 * curve.total_length
+        assert abs(hit.travel - travel) < 1e-14 * travel
+        # the single-orbit (float) exit agrees
+        u, t = curve._exit(0.0, 0.0, *direction)
+        assert abs(curve._s_of_u(u) - s) < 1e-14 * curve.total_length
+        assert abs(t - travel) < 1e-14 * travel
+
+
+@pytest.mark.parametrize("l, rho", STADIUM_SHAPES)
+def test_stadium_cap_extremes_at_signed_zero(l, rho):
+    # y = -0.0 at the left extreme puts atan2 on the other side of its branch
+    # cut; the arclength must not jump by the straights' length
+    curve = BoundaryCurve.stadium(l, rho)
+    right, left = 0.5 * math.pi * rho, 1.5 * math.pi * rho + 2.0 * l
+    tol = 4e-16 * curve.total_length
+    for y in (0.0, -0.0):
+        assert abs(curve._stadium_s_of_point(l + rho, y) - right) < tol
+        assert abs(curve._stadium_s_of_point(-l - rho, y) - left) < tol
+        s = curve._stadium_s_of_point(np.array([l + rho, -l - rho]), np.array([y, y]))
+        assert abs(s[0] - right) < tol and abs(s[1] - left) < tol
+
+
+def test_stadium_arclength_of_point_below_total_length(stadium11):
+    # one ulp short of the junction s = 0 on the bottom straight
+    for x in (np.nextafter(1.0, 0.0), np.array([np.nextafter(1.0, 0.0)])):
+        s = stadium11._stadium_s_of_point(x, -1.0 + 0.0 * x)
+        assert np.all((0.0 <= s) & (s < stadium11.total_length))
+
+
+@pytest.mark.parametrize("dy", [1e-4, 1e-5, 1e-6, -1e-4, -1e-5, -1e-6])
+def test_stadium_shallow_exit_through_straight(stadium11, dy):
+    # a shallow ray meets a straight at (+-rho - y) / dy, exact to rounding;
+    # the root of a circle tangent to the straight there would lose about
+    # eps / dy^2 of it
+    dx = math.sqrt(1.0 - dy * dy)
+    wall = math.copysign(1.0, dy)
+    x0, y0 = -0.5, wall - 0.5 * dy / dx       # meets the straight near x = 0
+    expect = (wall - y0) / dy
+    _, travel = stadium11._exit(x0, y0, dx, dy)
+    assert abs(travel - expect) <= 1e-14 * expect
+    _, travels = stadium11._ray_exit_many(np.array([[x0, y0]]), np.array([[dx, dy]]))
+    assert abs(travels[0] - expect) <= 1e-14 * expect
 
 
 def test_curve_spec_parsing():
