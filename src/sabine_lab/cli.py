@@ -218,18 +218,15 @@ def emit_plot(candidates: list, bound_curve: list, path: str) -> None:
         fh.write("\n".join(parts).encode("ascii") + b"\n")
 
 
-def _circle_bound_line(x_values, pot: PotentialSpec, model: Model):
-    """Unit-disk decay bound as a function of Re lambda (normal incidence)."""
+def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model: Model):
+    """Circle decay bound against Re lambda (normal incidence, chord 2r)."""
     line = []
     for x in x_values:
         h_eff = 1.0 / x
-        if model is Model.DELTA:
-            hs = h_eff * h_eff ** (-pot.alpha) * pot.V0
-            y = -math.log(1.0 + 4.0 / (hs * hs)) / 4.0
-        else:
-            sv = h_eff ** pot.alpha * pot.V0
-            y = -math.log(1.0 + 4.0 * h_eff * h_eff / (sv * sv)) / 4.0
-        line.append((x, y))
+        sv = pot.symbol(0.0, h_eff, model)
+        # the reflection strength: h sigma for delta, sigma / h for delta-prime
+        t = h_eff * sv if model is Model.DELTA else sv / h_eff
+        line.append((x, -math.log(1.0 + 4.0 / (t * t)) / (4.0 * curve.params["radius"])))
     return line
 
 
@@ -268,7 +265,8 @@ def _run_disk_oracle(config: RunConfig) -> list[str]:
     outputs = [config.out]
     if config.svg:
         xs = np.linspace(lo / config.h, hi / config.h, 64)
-        emit_plot(candidates, _circle_bound_line(xs, pot, model), config.svg)
+        line = _circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model)
+        emit_plot(candidates, line, config.svg)
         outputs.append(config.svg)
     return outputs
 
@@ -314,7 +312,7 @@ def _run_resonances(config: RunConfig) -> list[str]:
     if config.svg:
         if curve.kind is CurveKind.CIRCLE and pot.is_constant:
             xs = np.linspace(re_lo / config.h, re_hi / config.h, 64)
-            line = _circle_bound_line(xs, pot, model)
+            line = _circle_bound_line(xs, curve, pot, model)
         else:
             gap = billiards.sabine_gap(curve, config.h, pot, model).bound
             line = [(re_lo / config.h, -gap), (re_hi / config.h, -gap)]

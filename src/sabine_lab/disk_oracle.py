@@ -6,7 +6,8 @@ functions at argument z/h.  Enumerating n >= 0 is complete: the equations
 involve n only through J_n*H1_n products, which modes n and -n share.
 Roots are located from lattice initial guesses (phase-corrected for higher
 modes), pulled in by a damped Newton pre-pass when needed, and finished by
-a certified contraction iteration that guarantees local uniqueness.
+a certified contraction iteration that guarantees local uniqueness.  Each
+step takes F, F' and F'' from one Bessel evaluation at its point.
 Serves as ground truth for the boundary-integral search.
 """
 
@@ -72,29 +73,28 @@ class NewtonResult(NamedTuple):
 # certified contraction solve
 # ---------------------------------------------------------------------------
 
-def newton_contract(f: Callable, fprime: Callable, z0: complex, eps: float,
-                    a: float, b: float, d: float, c: float = 0.9,
-                    max_iter: int = 100) -> NewtonResult:
-    """Root of f in |z - z0| <= eps, certified by the contraction bounds.
+def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
+                    d: float, c: float = 0.9, max_iter: int = 100) -> NewtonResult:
+    """Root of F in |z - z0| <= eps, certified by the contraction bounds.
 
-    Requires |f(z0)| <= a, |f'(z0)| >= b and sup |f''| <= d on the disk,
-    with a + d*eps^2 < eps*b < c < 1.  Iterates the frozen-derivative map
-    g(z) = z - f(z)/f'(z0), which is a contraction with factor d*eps/b.
+    f(z) returns the triple (F, F', F'') at z.  Requires |F(z0)| <= a,
+    |F'(z0)| >= b and sup |F''| <= d on the disk, with
+    a + d*eps^2 < eps*b < c < 1.  Iterates the frozen-derivative map
+    g(z) = z - F(z)/F'(z0), which is a contraction with factor d*eps/b.
     """
     if not (a + d * eps * eps < eps * b < c < 1.0):
         raise NewtonConditionError(
             f"contraction condition failed: a={a:.3e}, b={b:.3e}, d={d:.3e}, "
             f"eps={eps:.3e} (need a + d*eps^2 < eps*b < {c})"
         )
-    dz0 = fprime(z0)
+    fz, dz0, _ = f(z0)
     tol = 1e-12 * b * eps
     z = z0
-    fz = f(z)
     for it in range(1, max_iter + 1):
         z_next = z - fz / dz0
         step = abs(z_next - z)
         z = z_next
-        fz = f(z)
+        fz = f(z)[0]
         if abs(fz) < tol or step < 1e-17 * max(abs(z), 1.0):
             return NewtonResult(root=z, residual=abs(fz),
                                 contraction=d * eps / b, iterations=it)
@@ -104,16 +104,15 @@ def newton_contract(f: Callable, fprime: Callable, z0: complex, eps: float,
     )
 
 
-def _damped_newton(f, fprime, z, max_iter=15, step_cap=None):
-    """Plain Newton with |f|-monotone step damping; best-effort refiner.
+def _damped_newton(f, z, max_iter=15, step_cap=None):
+    """Plain Newton with |F|-monotone step damping; best-effort refiner.
 
     Steps are capped at step_cap (roots of the mode equations are lattice
     spaced, so larger moves would leave the basin) and trial points outside
     the validated region count as non-improving.
     """
-    fz = f(z)
+    fz, dfz, _ = f(z)
     for _ in range(max_iter):
-        dfz = fprime(z)
         if dfz == 0:
             break
         step = fz / dfz
@@ -123,7 +122,7 @@ def _damped_newton(f, fprime, z, max_iter=15, step_cap=None):
         for _ in range(30):
             z_try = z - lam * step
             try:
-                f_try = f(z_try)
+                f_try, df_try, _ = f(z_try)
             except RegionError:
                 lam *= 0.5
                 continue
@@ -132,33 +131,28 @@ def _damped_newton(f, fprime, z, max_iter=15, step_cap=None):
             lam *= 0.5
         else:
             break
-        z, fz = z_try, f_try
+        z, fz, dfz = z_try, f_try, df_try
         if abs(fz) < 1e-14:
             break
     return z
 
 
 def _second_derivative_bound(f, center: complex, eps: float) -> float:
-    """max |f''| over 8 samples of the eps-circle, by second differences."""
-    delta = eps / 8.0
-    worst = 0.0
-    for j in range(8):
-        w = center + eps * cmath.exp(2j * math.pi * j / 8.0)
-        d2 = (f(w + delta) - 2.0 * f(w) + f(w - delta)) / (delta * delta)
-        worst = max(worst, abs(d2))
-    return worst
+    """max |F''| over 8 samples of the eps-circle."""
+    return max(abs(f(center + eps * cmath.exp(2j * math.pi * j / 8.0))[2])
+               for j in range(8))
 
 
-def _certified_solve(f, fprime, z0: complex, eps0: float) -> NewtonResult:
+def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
     """Certification with radius halving, rescued by a damped pre-pass."""
 
     def attempt(center, eps):
-        a = abs(f(center))
-        b = abs(fprime(center))
+        fc, dfc, _ = f(center)
+        a, b = abs(fc), abs(dfc)
         for _ in range(7):
             d = _second_derivative_bound(f, center, eps)
             if a + d * eps * eps < eps * b < 0.9:
-                return newton_contract(f, fprime, center, eps, a, b, d)
+                return newton_contract(f, center, eps, a, b, d)
             eps *= 0.5
         raise NewtonConditionError(
             f"contraction condition failed after 6 radius halvings at {center}"
@@ -167,19 +161,16 @@ def _certified_solve(f, fprime, z0: complex, eps0: float) -> NewtonResult:
     try:
         result = attempt(z0, eps0)
     except (NewtonConditionError, NewtonConvergenceError):
-        refined = _damped_newton(f, fprime, z0, step_cap=2.0 * eps0)
+        refined = _damped_newton(f, z0, step_cap=2.0 * eps0)
         result = attempt(refined, eps0 / 4.0)
     # polish the certified root with fresh-derivative steps
     z = result.root
-    fz = f(z)
+    fz, dfz, _ = f(z)
     for _ in range(3):
-        if abs(fz) < 1e-14:
-            break
-        dfz = fprime(z)
-        if dfz == 0:
+        if abs(fz) < 1e-14 or dfz == 0:
             break
         z = z - fz / dfz
-        fz = f(z)
+        fz, dfz, _ = f(z)
     return NewtonResult(root=z, residual=abs(fz),
                         contraction=result.contraction, iterations=result.iterations)
 
@@ -188,45 +179,50 @@ def _certified_solve(f, fprime, z0: complex, eps0: float) -> NewtonResult:
 # mode equations and lattice guesses
 # ---------------------------------------------------------------------------
 
+def _product_rule(u, v):
+    """(w, w', w'') of w = u v from (u, u', u'') and (v, v', v'')."""
+    return (u[0] * v[0], u[1] * v[0] + u[0] * v[1],
+            u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2])
+
+
 def mode_equation(n: int, h: float, pot: PotentialSpec, model: Model):
-    """The per-mode transcendental function F and its derivative F'.
+    """The per-mode transcendental function as f(z) -> (F, F', F'').
 
     delta:       F(z) = 1 - (pi h^-alpha V0 / 2i) J_n(z/h) H1_n(z/h)
     delta-prime: F(z) = 1 + (pi z^2 h^(alpha-2) V0 / 2i) J_n'(z/h) H1_n'(z/h)
+
+    Each call makes one ``specfun.bessel_quad`` evaluation, at lam = z/h.
     """
     if not pot.is_constant:
         raise ValueError("the disk oracle requires a constant potential profile")
-    if model is Model.DELTA:
+    delta = model is Model.DELTA
+    if delta:
         # 1 - (pi x / 2i) J H = 1 + (i pi x / 2) J H
         coeff = 0.5j * math.pi * h ** (-pot.alpha) * pot.V0
+    else:
+        # 1 + (pi x / 2i) z^2 J' H' = 1 - (i pi x / 2) z^2 J' H'
+        coeff = -0.5j * math.pi * h ** (pot.alpha - 2.0) * pot.V0
 
-        def f(z: complex) -> complex:
-            ev = specfun.bessel_quad(n, z / h)
-            return 1.0 + coeff * ev.J * ev.H1
-
-        def fp(z: complex) -> complex:
-            ev = specfun.bessel_quad(n, z / h)
-            return coeff * (ev.Jp * ev.H1 + ev.J * ev.H1p) / h
-
-        return f, fp
-
-    # 1 + (pi x / 2i) z^2 J' H' = 1 - (i pi x / 2) z^2 J' H'
-    coeff = -0.5j * math.pi * h ** (pot.alpha - 2.0) * pot.V0
-
-    def f_prime_model(z: complex) -> complex:
-        ev = specfun.bessel_quad(n, z / h)
-        return 1.0 + coeff * z * z * ev.Jp * ev.H1p
-
-    def fp_prime_model(z: complex) -> complex:
+    def f(z: complex):
         lam = z / h
         ev = specfun.bessel_quad(n, lam)
-        # second derivatives from the Bessel ODE y'' = -y'/x + (n^2/x^2 - 1) y
-        jpp = -ev.Jp / lam + (n * n / (lam * lam) - 1.0) * ev.J
-        hpp = -ev.H1p / lam + (n * n / (lam * lam) - 1.0) * ev.H1
-        return coeff * (2.0 * z * ev.Jp * ev.H1p
-                        + z * z * (jpp * ev.H1p + ev.Jp * hpp) / h)
+        # the factors of F and their z-derivatives (d/dz = d/dlam / h), from
+        # Bessel's equation y'' = -y'/lam + q y and its derivative in lam
+        q = n * n / (lam * lam) - 1.0
+        factors = []
+        for y, yp in ((ev.J, ev.Jp), (ev.H1, ev.H1p)):
+            ypp = -yp / lam + q * y
+            if delta:
+                factors.append((y, yp / h, ypp / (h * h)))
+            else:
+                yppp = -ypp / lam + yp / (lam * lam) + q * yp - 2.0 * n * n * y / lam ** 3
+                factors.append((yp, ypp / h, yppp / (h * h)))
+        p = _product_rule(*factors)
+        if not delta:
+            p = _product_rule((z * z, 2.0 * z, 2.0), p)
+        return 1.0 + coeff * p[0], coeff * p[1], coeff * p[2]
 
-    return f_prime_model, fp_prime_model
+    return f
 
 
 def _phase(lam: float, n: int) -> float:
@@ -290,8 +286,8 @@ def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
             f"[{lo}, {hi}]"
         )
     z0 = mode_guess(n, k, h, pot, model)
-    f, fp = mode_equation(n, h, pot, model)
-    result = _certified_solve(f, fp, z0, eps0=math.pi * h / 4.0)
+    f = mode_equation(n, h, pot, model)
+    result = _certified_solve(f, z0, eps0=math.pi * h / 4.0)
     z = result.root
     if result.residual >= _RESIDUAL_TOL:
         raise NewtonConvergenceError(

@@ -175,7 +175,7 @@ class BoundaryCurve:
 
     def _t_of_s(self, s):
         """Ellipse parameter of arclength s: monotone spline + Newton polish."""
-        s = np.mod(np.asarray(s, dtype=float), self.total_length)
+        s = _wrap(np.asarray(s, dtype=float), self.total_length)
         t = np.asarray(self._t_of_s_interp(s), dtype=float)
         for _ in range(2):
             t = t - (self._s_of_t(t) - s) / self._speed(t)
@@ -187,15 +187,15 @@ class BoundaryCurve:
         """Native parameter of arclength s (wrapped modulo total_length)."""
         if self.kind is CurveKind.ELLIPSE:
             return self._t_of_s(s)
-        s = s % self.total_length
+        s = _wrap(s, self.total_length)
         return s / self.params["radius"] if self.kind is CurveKind.CIRCLE else s
 
     def _s_of_u(self, u):
         """Arclength in [0, total_length) of the native parameter u."""
         if self.kind is CurveKind.CIRCLE:
-            return (self.params["radius"] * u) % self.total_length
+            return _wrap(self.params["radius"] * u, self.total_length)
         if self.kind is CurveKind.ELLIPSE:
-            return self._s_of_t(u) % self.total_length
+            return _wrap(self._s_of_t(u), self.total_length)
         return u
 
     def _frame(self, u):
@@ -306,9 +306,7 @@ class BoundaryCurve:
         xp = math_or_numpy(x)
         cx = _clip(x, -l, l)
         s = rho * (xp.atan2(y, x - cx) + 0.5 * math.pi) + xp.copysign(l - cx, y)
-        # an s just below 0 (the bottom's end) rounds to total_length in the
-        # first %; the second maps it to 0
-        return s % self.total_length % self.total_length
+        return _wrap(s, self.total_length)
 
     # -- pointwise data ------------------------------------------------------
 
@@ -318,7 +316,7 @@ class BoundaryCurve:
 
     def point_many(self, s) -> dict:
         """Vectorized point data for an array of arclengths."""
-        s = np.mod(np.asarray(s, dtype=float), self.total_length)
+        s = _wrap(np.asarray(s, dtype=float), self.total_length)
         return self._point_data(s, self._u_of_s(s))
 
     def _point_data(self, s, u):
@@ -417,6 +415,12 @@ def math_or_numpy(x):
     """The module whose elementary functions suit x: numpy for an array,
     math for a float, which costs far less per call on one value."""
     return np if isinstance(x, np.ndarray) else math
+
+
+def _wrap(s, period):
+    """s reduced to [0, period), a float or elementwise: the first % rounds an
+    s just below 0 up to period itself, and the second maps that to 0."""
+    return s % period % period
 
 
 def _clip(v, lo, hi):

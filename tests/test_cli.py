@@ -8,8 +8,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from sabine_lab import cli
-from sabine_lab.billiards import Model, PotentialSpec
+from sabine_lab.billiards import Model, PotentialSpec, sabine_gap
 from sabine_lab.disk_oracle import mode_sweep
+from sabine_lab.geometry import BoundaryCurve
 
 
 def run_cli(argv):
@@ -96,7 +97,8 @@ def test_svg_determinism_and_structure(tmp_path):
     svg = tmp_path / "plot.svg"
     pot = PotentialSpec(V0=1.0, alpha=0.0)
     cands = mode_sweep(0.05, pot, Model.DELTA, 0, window=(0.8, 1.2))
-    line = cli._circle_bound_line([16.0, 20.0, 24.0], pot, Model.DELTA)
+    line = cli._circle_bound_line([16.0, 20.0, 24.0], BoundaryCurve.circle(1.0), pot,
+                                  Model.DELTA)
     cli.emit_plot(cands, line, str(svg))
     first = svg.read_bytes()
     cli.emit_plot(cands, line, str(svg))
@@ -119,8 +121,20 @@ def test_plot_markers_on_resonance_side_of_bound(tmp_path):
     assert len(cands) >= 3
     for c in cands:
         x = c.z.real / h
-        line_im = cli._circle_bound_line([x], pot, Model.DELTA)[0][1]
+        line_im = cli._circle_bound_line([x], BoundaryCurve.circle(1.0), pot, Model.DELTA)[0][1]
         assert c.z.imag / h <= line_im + 1e-9
+
+
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA_PRIME, 0.8)])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_circle_bound_line_matches_sabine_gap(radius, model, alpha):
+    # at Re lambda = 1/h the plotted line is the billiard bound of that circle
+    h = 0.05
+    curve = BoundaryCurve.circle(radius)
+    pot = PotentialSpec(V0=1.0, alpha=alpha)
+    line_im = cli._circle_bound_line([1.0 / h], curve, pot, model)[0][1]
+    bound = sabine_gap(curve, h, pot, model).bound
+    assert abs(-line_im - bound) <= 1e-12 * bound
 
 
 def test_line_only_plot(tmp_path):

@@ -14,25 +14,40 @@ mp.mp.dps = 40
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
 
+def mp_mode_function(n, h, pot, model, z):
+    """The mode equation's F at z in extended precision (mpmath)."""
+    h = mp.mpf(repr(h))
+    z = mp.mpc(z)
+    lam = z / h
+    if model is Model.DELTA:
+        return 1 - (mp.pi * h ** (-pot.alpha) * pot.V0 / (2j)) * \
+            mp.besselj(n, lam) * mp.hankel1(n, lam)
+    if n == 0:
+        jp = -mp.besselj(1, lam)
+        hp = -mp.hankel1(1, lam)
+    else:
+        jp = (mp.besselj(n - 1, lam) - mp.besselj(n + 1, lam)) / 2
+        hp = (mp.hankel1(n - 1, lam) - mp.hankel1(n + 1, lam)) / 2
+    return 1 + (mp.pi * z * z * h ** (pot.alpha - 2) * pot.V0 / (2j)) * jp * hp
+
+
 def independent_residual(candidate, pot):
     """Re-evaluate the mode equation with the extended-precision oracle."""
     prov = candidate.provenance
-    h = mp.mpf(repr(candidate.h))
-    z = mp.mpc(candidate.z)
-    lam = z / h
-    n = prov.n
-    if prov.model is Model.DELTA:
-        val = 1 - (mp.pi * h ** (-pot.alpha) * pot.V0 / (2j)) * \
-            mp.besselj(n, lam) * mp.hankel1(n, lam)
-    else:
-        if n == 0:
-            jp = -mp.besselj(1, lam)
-            hp = -mp.hankel1(1, lam)
-        else:
-            jp = (mp.besselj(n - 1, lam) - mp.besselj(n + 1, lam)) / 2
-            hp = (mp.hankel1(n - 1, lam) - mp.hankel1(n + 1, lam)) / 2
-        val = 1 + (mp.pi * z * z * h ** (pot.alpha - 2) * pot.V0 / (2j)) * jp * hp
-    return float(abs(val))
+    return float(abs(mp_mode_function(prov.n, candidate.h, pot, prov.model, candidate.z)))
+
+
+def count_bessel_quad(monkeypatch):
+    """Monkeypatch specfun.bessel_quad with a call counter; returns the count."""
+    calls = [0]
+    original = do.specfun.bessel_quad
+
+    def counted(n, z):
+        calls[0] += 1
+        return original(n, z)
+
+    monkeypatch.setattr(do.specfun, "bessel_quad", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +55,14 @@ def independent_residual(candidate, pot):
 # ---------------------------------------------------------------------------
 
 def test_newton_contract_quadratic():
-    res = do.newton_contract(lambda z: z * z - 1, lambda z: 2 * z,
+    res = do.newton_contract(lambda z: (z * z - 1, 2 * z, 2.0),
                              1.05 + 0j, 0.1, a=abs(1.05**2 - 1), b=2.0, d=2.0)
     assert abs(res.root - 1.0) < 1e-12
     assert res.contraction < 1.0
 
 
 def test_newton_contract_exponential():
-    res = do.newton_contract(lambda z: np.exp(z) - 1, lambda z: np.exp(z),
+    res = do.newton_contract(lambda z: (np.exp(z) - 1, np.exp(z), np.exp(z)),
                              0.05 + 0j, 0.1,
                              a=abs(np.exp(0.05) - 1), b=np.exp(-0.05), d=np.exp(0.15))
     assert abs(res.root) < 1e-12
@@ -55,7 +70,39 @@ def test_newton_contract_exponential():
 
 def test_newton_contract_condition_guard():
     with pytest.raises(NewtonConditionError):
-        do.newton_contract(lambda z: z, lambda z: 1.0, 0j, 0.1, a=5.0, b=1.0, d=1.0)
+        do.newton_contract(lambda z: (z, 1.0, 0.0), 0j, 0.1, a=5.0, b=1.0, d=1.0)
+
+
+# ---------------------------------------------------------------------------
+# mode equations
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA_PRIME, 0.9)])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_mode_equation_derivatives_match_mpmath(model, alpha, n, monkeypatch):
+    # F, F' and F'' from one Bessel evaluation and the Bessel ODE against
+    # 40-digit numerical differentiation of the mode equation
+    h = 0.1
+    pot = PotentialSpec(V0=1.0, alpha=alpha)
+    f = do.mode_equation(n, h, pot, model)
+    calls = count_bessel_quad(monkeypatch)
+    for i, z in enumerate((0.93 - 0.06j, 1.21 - 0.15j)):
+        values = f(z)
+        assert calls[0] == i + 1
+        for k, value in enumerate(values):
+            ref = complex(mp.diff(lambda w: mp_mode_function(n, h, pot, model, w), z, k))
+            assert abs(value - ref) <= 1e-10 * abs(ref), (k, z, value, ref)
+
+
+def test_single_root_bessel_work(monkeypatch):
+    # exact work counts, which unlike wall-clock budgets do not depend on
+    # host load
+    calls = count_bessel_quad(monkeypatch)
+    do.delta_resonance(0, 6, 0.05, POT1)
+    assert calls[0] <= 39
+    calls[0] = 0
+    do.delta_prime_resonance(0, 32, 0.01, PotentialSpec(V0=1.0, alpha=0.9))
+    assert calls[0] <= 35
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +130,11 @@ def test_delta_law_small_h():
 def test_delta_root_locally_unique(rng):
     h = 0.05
     base = do.delta_resonance(0, 6, h, POT1).z
-    f, fp = do.mode_equation(0, h, POT1, Model.DELTA)
+    f = do.mode_equation(0, h, POT1, Model.DELTA)
     for _ in range(8):
         angle = rng.uniform(0, 2 * math.pi)
         start = base + (h / 100) * complex(math.cos(angle), math.sin(angle))
-        res = do._certified_solve(f, fp, start, eps0=math.pi * h / 4)
+        res = do._certified_solve(f, start, eps0=math.pi * h / 4)
         assert abs(res.root - base) < 1e-10
 
 

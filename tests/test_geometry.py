@@ -283,6 +283,15 @@ def test_stadium_arclength_of_point_below_total_length(stadium11):
         assert np.all((0.0 <= s) & (s < stadium11.total_length))
 
 
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+@pytest.mark.parametrize("s", [-1e-17, -1e-300, -0.0, "L"])
+def test_arclength_wraps_into_half_open_range(spec, s):
+    curve = BoundaryCurve.from_spec(spec)
+    s = curve.total_length if s == "L" else s
+    assert 0.0 <= curve.point_at(s).s < curve.total_length
+    assert 0.0 <= curve.point_many(np.array([s]))["s"][0] < curve.total_length
+
+
 @pytest.mark.parametrize("dy", [1e-4, 1e-5, 1e-6, -1e-4, -1e-5, -1e-6])
 def test_stadium_shallow_exit_through_straight(stadium11, dy):
     # a shallow ray meets a straight at (+-rho - y) / dy, exact to rounding;
