@@ -6,16 +6,29 @@ by spectrally accurate trigonometric quadrature weights and a smooth
 remainder handled by the trapezoid rule.  ``NystromGrid.build`` computes
 everything that does not depend on the frequency once: the distinct node
 distances and the index into them, one log-quadrature table, the circulant
-flag and the diameter.  The kernel depends on a node pair only through its
-distance, so every curve takes the same path: at each frequency the kernel
-is evaluated on the distinct distances and gathered into the matrix.  The
-smallest singular value of the discretized I + G(lambda) V is the
-functional whose near-vanishing marks a resonance.
+and parity flags and the diameter.  The kernel depends on a node pair only
+through its distance, so every curve takes the same path: at each frequency
+the kernel is evaluated on the distinct distances and gathered into the
+entries asked for.  The smallest singular value of the discretized
+I + G(lambda) V is the functional whose near-vanishing marks a resonance.
 
-When every entry depends only on (i - j) mod N, as on the circle, the
-matrix is circulant: its singular values are the moduli of the FFT of its
-first column, so sigma_min (with a constant symbol) and the operator norm
-need one kernel column and no dense SVD.
+The spectrum takes one of three paths, chosen from the distance index:
+
+* FFT.  When every entry depends only on (i - j) mod N, as on the circle,
+  the matrix is circulant: its singular values are the moduli of the FFT of
+  its first column, so sigma_min (with a constant symbol) and the operator
+  norm need one kernel column and no dense SVD.
+* Parity.  When N % 4 == 0 and the index is invariant under both
+  reflections k -> -k and k -> N/2 - k (mod N), as on any ellipse with the
+  grid starting on an axis, the matrix commutes with the four-element
+  reflection group.  The N/4 + 1 orbit representatives r = 0 .. N/4 carry
+  one row each; folding those rows with the group's four characters gives
+  four blocks (65/64/64/63 at N = 256) whose singular values together are
+  the matrix's.  sigma_min (with a reflection-symmetric symbol) and the
+  operator norm take four small SVDs.
+* Dense.  Everything else, such as the stadium (its s = 0 lies at a cap
+  junction, so its index fails the reflection test) and profiles without
+  the symmetry, takes the dense SVD of the assembled matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +58,10 @@ class NystromGrid:
     the trapezoid rule's log(4 sin^2(pi d / N)) term folded in.  That table
     depends only on (i - j) mod N, so the matrix is ``circulant`` exactly
     when the integer distance index is; the flag is read from the index, not
-    from the curve kind.
+    from the curve kind.  ``parity`` is read from the index too: N % 4 == 0
+    and both reflections k -> -k and k -> N/2 - k (mod N) map it onto
+    itself.  Both reflections send d = (i - j) mod N to N - d, which keeps
+    the log table to rounding, so the matrix commutes with them.
     """
 
     curve: BoundaryCurve
@@ -56,6 +72,7 @@ class NystromGrid:
     group: np.ndarray
     logw: np.ndarray
     circulant: bool
+    parity: bool
     diameter: float
 
     @classmethod
@@ -77,8 +94,13 @@ class NystromGrid:
         d = np.arange(1, N)
         w[1:] -= (2.0 * np.pi / N) * np.log(4.0 * np.sin(np.pi * d / N) ** 2)
         idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+        circulant = bool(np.array_equal(group, group[idx, 0]))
+        # a symmetric circulant index depends only on |i - j|, which both
+        # reflections keep, so only other grids need the N^2 comparison
+        parity = N % 4 == 0 and (circulant or all(
+            np.array_equal(group, group[np.ix_(g, g)]) for g in _reflections(N)))
         return cls(curve=curve, N=N, s=s, points=points, dist=dist, group=group,
-                   logw=w[idx], circulant=bool(np.array_equal(group, group[idx, 0])),
+                   logw=w[idx], circulant=circulant, parity=parity,
                    diameter=curve.diameter()[0])
 
 
@@ -126,10 +148,48 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, squareform(np.searchsorted(dist, r, side="right"))
 
 
+def _reflections(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node maps k -> -k and k -> N/2 - k (mod N): the reflections in
+    the axis through node 0 and in the one through node N/4."""
+    k = np.arange(N)
+    return -k % N, (N // 2 - k) % N
+
+
+def _parity_svals(rows: np.ndarray) -> np.ndarray:
+    """Every singular value of an N x N matrix A that commutes with both
+    reflections, from its rows r = 0 .. N/4, by four block SVDs.
+
+    Row r is the representative of its orbit {r, -r, N/2 - r, N/2 + r},
+    which has n = 2 members at r = 0 and r = N/4 and 4 elsewhere.  For the
+    character chi = (e_y, e_x) of the group {1, k -> -k, k -> N/2 - k,
+    k -> N/2 + k} the block is
+
+        M_chi[k, l] = (sqrt(n_k n_l) / 4) sum_g chi(g) A[r_k, g(r_l)],
+
+    the matrix of A in the orthonormal basis of symmetrized orbit vectors.
+    r = 0 drops out of the blocks with e_y = -1 and r = N/4 out of those
+    with e_x = -1, so the blocks have N/4 + 1, N/4, N/4 and N/4 - 1 rows.
+    """
+    m, N = rows.shape
+    r = np.arange(m)
+    n = np.full(m, 4.0)
+    n[[0, -1]] = 2.0
+    scale = np.sqrt(np.outer(n, n)) / 4.0
+    a, a_y, a_x, a_xy = (rows[:, g] for g in (r, -r % N, N // 2 - r, N // 2 + r))
+    svals = []
+    for e_y in (1, -1):
+        even, odd = a + e_y * a_y, a_x + e_y * a_xy
+        for e_x in (1, -1):
+            keep = slice(int(e_y < 0), m - int(e_x < 0))
+            block = (scale * (even + e_x * odd))[keep, keep]
+            svals.append(np.linalg.svd(block, compute_uv=False))
+    return np.concatenate(svals)
+
+
 def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
     """Nystrom entries at frequency lambda (checked against the validated
-    region) at the index selection sel of the N x N matrix: all of it, or
-    one column of a circulant grid.
+    region) at the index selection sel of the N x N matrix: all of it, one
+    column of a circulant grid or the representative rows of a parity grid.
 
     The kernel K = (i/4) H0(lambda r) * speed is split as
     K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
@@ -174,10 +234,14 @@ def operator_norm(matrix: LayerMatrix) -> float:
 
     Every node carries the arclength weight L/N, so the weight-symmetrized
     matrix D A D^-1 (D = diag(sqrt(L/N))) is the matrix itself.  A circulant
-    matrix is normal, so its singular values are |fft(first column)|.
+    matrix is normal, so its singular values are |fft(first column)|; on a
+    parity grid they come from the blocks of rows 0 .. N/4.
     """
-    if matrix.grid.circulant:
+    grid = matrix.grid
+    if grid.circulant:
         return float(np.abs(np.fft.fft(matrix.entries[:, 0])).max())
+    if grid.parity:
+        return float(_parity_svals(matrix.entries[:grid.N // 4 + 1]).max())
     return float(np.linalg.svd(matrix.entries, compute_uv=False)[0])
 
 
@@ -188,7 +252,10 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     Near-vanishing of sigma_min marks a resonance; the condition number is
     the complementary diagnostic maximized at resonances.  On a circulant
     grid with a constant symbol v the singular values are
-    |1 + v fft(column 0)|; every other case takes the dense SVD.
+    |1 + v fft(column 0)|.  On a parity grid with a symbol that both
+    reflections keep (to 1e-14 of its largest value, the tolerance that
+    groups the distances) they come from the four blocks of rows 0 .. N/4.
+    Every other case takes the dense SVD.
     """
     sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
     if not sv.any():
@@ -197,6 +264,13 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     if grid.circulant and (sv == sv[0]).all():
         column = _kernel_entries(grid, lam, np.s_[:, 0])
         svals = np.abs(1.0 + sv[0] * np.fft.fft(column))
+        smin, smax = svals.min(), svals.max()
+    elif grid.parity and all(np.abs(sv[g] - sv).max() <= 1e-14 * np.abs(sv).max()
+                             for g in _reflections(grid.N)):
+        m = grid.N // 4 + 1
+        rows = np.eye(m, grid.N, dtype=complex) + _kernel_entries(
+            grid, lam, np.s_[:m, :]) * sv[None, :]
+        svals = _parity_svals(rows)
         smin, smax = svals.min(), svals.max()
     else:
         layer = assemble_single_layer(grid, lam)

@@ -87,54 +87,62 @@ def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
             f"contraction condition failed: a={a:.3e}, b={b:.3e}, d={d:.3e}, "
             f"eps={eps:.3e} (need a + d*eps^2 < eps*b < {c})"
         )
-    fz, dz0, _ = f(z0)
+    return _contract(f, z0, f(z0), eps, a, b, d, max_iter)[0]
+
+
+def _contract(f, z0: complex, f0, eps: float, a: float, b: float, d: float,
+              max_iter: int = 100):
+    """The iteration of ``newton_contract`` from f0 = f(z0), once its
+    condition holds; returns the result and f at the root."""
+    fz, dz0 = f0[0], f0[1]
     tol = 1e-12 * b * eps
     z = z0
     for it in range(1, max_iter + 1):
         z_next = z - fz / dz0
         step = abs(z_next - z)
         z = z_next
-        fz = f(z)[0]
+        f_root = f(z)
+        fz = f_root[0]
         if abs(fz) < tol or step < 1e-17 * max(abs(z), 1.0):
             return NewtonResult(root=z, residual=abs(fz),
-                                contraction=d * eps / b, iterations=it)
+                                contraction=d * eps / b, iterations=it), f_root
     raise NewtonConvergenceError(
         f"no convergence after {max_iter} iterations; final |f| = {abs(fz):.3e} "
         f"(bound estimates a={a:.3e}, b={b:.3e}, d={d:.3e} may be wrong)"
     )
 
 
-def _damped_newton(f, z, max_iter=15, step_cap=None):
+def _damped_newton(f, z, fz, max_iter=15, step_cap=None):
     """Plain Newton with |F|-monotone step damping; best-effort refiner.
 
-    Steps are capped at step_cap (roots of the mode equations are lattice
-    spaced, so larger moves would leave the basin) and trial points outside
-    the validated region count as non-improving.
+    Starts from fz = f(z) and returns the last point with f there.  Steps
+    are capped at step_cap (roots of the mode equations are lattice spaced,
+    so larger moves would leave the basin) and trial points outside the
+    validated region count as non-improving.
     """
-    fz, dfz, _ = f(z)
     for _ in range(max_iter):
-        if dfz == 0:
+        if fz[1] == 0:
             break
-        step = fz / dfz
+        step = fz[0] / fz[1]
         if step_cap is not None and abs(step) > step_cap:
             step *= step_cap / abs(step)
         lam = 1.0
         for _ in range(30):
             z_try = z - lam * step
             try:
-                f_try, df_try, _ = f(z_try)
+                f_try = f(z_try)
             except RegionError:
                 lam *= 0.5
                 continue
-            if abs(f_try) < abs(fz):
+            if abs(f_try[0]) < abs(fz[0]):
                 break
             lam *= 0.5
         else:
             break
-        z, fz, dfz = z_try, f_try, df_try
-        if abs(fz) < 1e-14:
+        z, fz = z_try, f_try
+        if abs(fz[0]) < 1e-14:
             break
-    return z
+    return z, fz
 
 
 def _second_derivative_bound(f, center: complex, eps: float) -> float:
@@ -144,28 +152,32 @@ def _second_derivative_bound(f, center: complex, eps: float) -> float:
 
 
 def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
-    """Certification with radius halving, rescued by a damped pre-pass."""
+    """Certification with radius halving, rescued by a damped pre-pass.
 
-    def attempt(center, eps):
-        fc, dfc, _ = f(center)
-        a, b = abs(fc), abs(dfc)
+    Each point's (F, F', F'') is handed on to the next step that needs it,
+    so no step evaluates f again where another already has.
+    """
+
+    def attempt(center, fc, eps):
+        a, b = abs(fc[0]), abs(fc[1])
         for _ in range(7):
             d = _second_derivative_bound(f, center, eps)
             if a + d * eps * eps < eps * b < 0.9:
-                return newton_contract(f, center, eps, a, b, d)
+                return _contract(f, center, fc, eps, a, b, d)
             eps *= 0.5
         raise NewtonConditionError(
             f"contraction condition failed after 6 radius halvings at {center}"
         )
 
+    f0 = f(z0)
     try:
-        result = attempt(z0, eps0)
+        result, f_root = attempt(z0, f0, eps0)
     except (NewtonConditionError, NewtonConvergenceError):
-        refined = _damped_newton(f, z0, step_cap=2.0 * eps0)
-        result = attempt(refined, eps0 / 4.0)
+        result, f_root = attempt(*_damped_newton(f, z0, f0, step_cap=2.0 * eps0),
+                                 eps0 / 4.0)
     # polish the certified root with fresh-derivative steps
     z = result.root
-    fz, dfz, _ = f(z)
+    fz, dfz, _ = f_root
     for _ in range(3):
         if abs(fz) < 1e-14 or dfz == 0:
             break

@@ -112,8 +112,14 @@ def test_criterion_5_oracle_bie_equivalence():
     check(5, ok, detail, time.perf_counter() - t0, 300.0)
 
 
-def test_criterion_6_sabine_gate_on_ellipse():
+def test_criterion_6_sabine_gate_on_ellipse(monkeypatch):
     t0 = time.perf_counter()
+    # the work is counted exactly, so the check does not rest on the
+    # wall-clock budget alone, which depends on the host's load
+    evals = []
+    sigma_min = rs.sigma_min_boundary_operator
+    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
+                        lambda *a: evals.append(a) or sigma_min(*a))
     ellipse = BoundaryCurve.ellipse(2.0, 1.0)
     h = 0.1
     gap = billiards.sabine_gap(ellipse, h, POT1, Model.DELTA).bound
@@ -122,7 +128,9 @@ def test_criterion_6_sabine_gate_on_ellipse():
     found = rs.find_resonances(window, ellipse, POT1, compute_margins=False)
     rates = [-c.z.imag / h for c in found]
     ok = bool(found) and all(r >= gap - 0.1 for r in rates)
-    detail = (f"gap={gap:.4f}; {len(found)} candidates, "
+    ok = ok and (len(evals), len(found)) == (2310, 14)
+    detail = (f"gap={gap:.4f}; {len(found)} candidates (14 expected) from "
+              f"{len(evals)} sigma_min evaluations (2310 expected), "
               f"shallowest -Im z/h = {min(rates) if rates else math.nan:.4f} "
               f">= {gap - 0.1:.4f}")
     check(6, ok, detail, time.perf_counter() - t0, 600.0)

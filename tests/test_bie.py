@@ -238,22 +238,79 @@ def test_circulant_flag_follows_distance_index(unit_circle, ellipse21, stadium11
         assert grid.circulant is circulant
 
 
-def test_sigma_min_path_choice(monkeypatch, unit_circle, ellipse21):
+@pytest.mark.filterwarnings("ignore:stadium")
+def test_parity_flag_follows_distance_index(unit_circle, ellipse21, stadium11):
+    ellipse51 = BoundaryCurve.from_spec("ellipse:a=5,b=1")
+    for curve in (ellipse21, ellipse51, unit_circle):
+        for N in (64, 256, 512):
+            assert bie.NystromGrid.build(curve, N).parity
+        assert not bie.NystromGrid.build(curve, 66).parity   # N % 4 != 0
+    # the stadium's node 0 sits at a cap junction, off both symmetry axes
+    assert not bie.NystromGrid.build(stadium11, 64).parity
+
+
+@pytest.mark.filterwarnings("ignore:stadium")
+def test_sigma_min_path_choice(monkeypatch, unit_circle, ellipse21, stadium11):
     calls = count_dense_assemblies(monkeypatch)
     z, h = 1.02 - 0.12j, 0.1
-    for curve, dense_calls in ((unit_circle, 0), (ellipse21, 1)):
+    for curve, dense_calls in ((unit_circle, 0), (ellipse21, 0), (stadium11, 1)):
         calls.clear()
         grid = bie.NystromGrid.build(curve, 256)
         bie.sigma_min_boundary_operator(grid, z, h, POT1)
         assert len(calls) == dense_calls
-    # a non-constant profile breaks the circulant structure of I + G V
+    # cos(s) keeps the reflection k -> -k but not k -> N/2 - k, so it breaks
+    # both the circulant and the parity structure of I + G V
     bumpy = PotentialSpec(V0=1.0, alpha=0.0,
                           profile=lambda s: 1.0 + 0.3 * np.cos(np.asarray(s, float)))
-    grid = bie.NystromGrid.build(unit_circle, 128)
-    calls.clear()
-    res = bie.sigma_min_boundary_operator(grid, z, h, bumpy)
-    assert len(calls) == 1
-    assert (res.sigma_min, res.cond) == dense_conditioning(grid, z, h, bumpy)
+    for curve in (unit_circle, ellipse21):
+        grid = bie.NystromGrid.build(curve, 256)
+        calls.clear()
+        res = bie.sigma_min_boundary_operator(grid, z, h, bumpy)
+        assert len(calls) == 1
+        assert (res.sigma_min, res.cond) == dense_conditioning(grid, z, h, bumpy)
+
+
+def symmetric_profile(curve):
+    """A non-constant profile that both axis reflections of the curve keep."""
+    L = curve.total_length
+    return PotentialSpec(V0=1.0, alpha=0.0,
+                         profile=lambda s: 1.0 + 0.3 * np.cos(4 * np.pi * np.asarray(s, float) / L))
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+def test_parity_spectrum_matches_dense_svd(ellipse21):
+    # h keeps each kernel's growth exp(|Im z| d / h) moderate; both SVDs are
+    # accurate to about eps * cond relative, so the points stay off the roots
+    # (0.98247 - 0.11117i on the 2:1 ellipse at h = 0.1, from the N = 512
+    # table, and 1.10083 - 0.18143i on the 5:1 ellipse at h = 0.5)
+    strong = PotentialSpec(V0=2.5, alpha=0.3)
+    for curve, h, root in ((ellipse21, 0.1, 0.98247 - 0.11117j),
+                           (BoundaryCurve.from_spec("ellipse:a=5,b=1"), 0.5,
+                            1.10083 - 0.18143j)):
+        cases = ((root + 5e-4j, POT1), (1.0 - 0.2j, POT1), (1.02 - 0.12j, strong),
+                 (root + 5e-4j, symmetric_profile(curve)))
+        for N in (64, 256, 512):
+            grid = bie.NystromGrid.build(curve, N)
+            assert grid.parity and not grid.circulant
+            for z, pot in cases:
+                fast = bie.sigma_min_boundary_operator(grid, z, h, pot)
+                smin, cond = dense_conditioning(grid, z, h, pot)
+                assert abs(fast.sigma_min - smin) <= 1e-12 * smin
+                assert abs(fast.cond - cond) <= 1e-12 * cond
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+def test_parity_operator_norm_matches_dense_svd(ellipse21):
+    for curve, N, lam in ((ellipse21, 256, 10.0 - 0.5j),
+                          (BoundaryCurve.from_spec("ellipse:a=5,b=1"), 512, 12.0)):
+        grid = bie.NystromGrid.build(curve, N)
+        mat = bie.assemble_single_layer(grid, lam)
+        dense = np.linalg.svd(mat.entries, compute_uv=False)
+        assert abs(bie.operator_norm(mat) - dense[0]) <= 1e-13 * dense[0]
+        # the four blocks hold every singular value, not only the largest
+        folded = np.sort(bie._parity_svals(mat.entries[:N // 4 + 1]))[::-1]
+        assert folded.shape == dense.shape
+        assert np.max(np.abs(folded - dense)) <= 1e-13 * dense[0]
 
 
 def test_column_path_keeps_checks(monkeypatch, unit_circle):
