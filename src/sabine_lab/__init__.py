@@ -9,11 +9,7 @@ from .billiards import (  # noqa: F401
     PotentialSpec,
     SabineReport,
     billiard_step,
-    chord_average,
     iterate,
-    reflect_delta,
-    reflect_delta_prime,
-    reflectivity_log_average,
     sabine_diameter_bound,
     sabine_gap,
 )

@@ -1,9 +1,9 @@
 """Billiard dynamics on the coball bundle of a convex boundary.
 
-Implements the billiard ball map, chord and log-reflectivity averages along
-orbits, the plane-wave reflection coefficients of thin delta / delta-prime
-barriers, and the decay-rate (resonance-free region) bounds obtained by
-optimizing those averages over phase space.
+Implements the billiard ball map and the decay-rate (resonance-free region)
+bounds: the log-average of the plane-wave reflectivity of a thin delta /
+delta-prime barrier over the mean chord length along orbits, optimized over
+a phase-space grid (``sabine_gap``), and the diameter-orbit closed form.
 
 Phase points are reported in arclength s, but the map steps in each curve's
 native parameter u (see geometry), so the ellipse's arclength map runs once
@@ -186,40 +186,19 @@ def iterate(curve: BoundaryCurve, q: PhasePoint, n_steps: int) -> list[OrbitSegm
     return segments
 
 
-def chord_average(curve: BoundaryCurve, q: PhasePoint, n_steps: int) -> float:
-    """Mean chord length over the first n_steps iterates (l_N)."""
-    segs = iterate(curve, q, n_steps)
-    return sum(s.chord_length for s in segs) / n_steps
-
-
 # ---------------------------------------------------------------------------
 # reflection coefficients
 # ---------------------------------------------------------------------------
 
-def reflect_delta(q: PhasePoint, h: float, pot: PotentialSpec) -> complex:
-    """Plane-wave reflection coefficient of the delta barrier at q.
-
-    R = h*sigma_V / (2i*xi1 - h*sigma_V) with xi1 = sqrt(1 - xi^2); the
-    modulus is strictly below 1 whenever sigma_V > 0.
-    """
-    xi1 = math.sqrt(1.0 - q.xi * q.xi)
-    sv = float(pot.symbol(q.s, h, Model.DELTA))
-    return (h * sv) / (2j * xi1 - h * sv)
-
-
-def reflect_delta_prime(q: PhasePoint, h: float, pot: PotentialSpec) -> complex:
-    """Reflection coefficient of the delta-prime barrier at q.
-
-    R = i*sigma_V*xi1 / (i*sigma_V*xi1 - 2h); vanishes at glancing instead
-    of saturating, in contrast to the delta barrier.
-    """
-    xi1 = math.sqrt(1.0 - q.xi * q.xi)
-    sv = float(pot.symbol(q.s, h, Model.DELTA_PRIME))
-    return (1j * sv * xi1) / (1j * sv * xi1 - 2.0 * h)
-
-
 def _log_reflectivity_sq(xi, sv, h: float, model: Model):
-    """log |R|^2 elementwise; -inf where the symbol vanishes."""
+    """log |R|^2 of the plane-wave reflection coefficient, elementwise.
+
+    With xi1 = sqrt(1 - xi^2) and the symbol sigma = sv, the delta barrier
+    has R = h sigma / (2i xi1 - h sigma), which saturates at glancing, and
+    the delta-prime barrier R = i sigma xi1 / (i sigma xi1 - 2h), which
+    vanishes there.  |R| < 1 whenever sigma > 0; the value is -inf where
+    the symbol vanishes.
+    """
     xi1sq = np.maximum(0.0, 1.0 - np.asarray(xi) ** 2)
     sv = np.asarray(sv, dtype=float)
     with np.errstate(divide="ignore"):
@@ -230,24 +209,6 @@ def _log_reflectivity_sq(xi, sv, h: float, model: Model):
             num = sv * sv * xi1sq
             den = sv * sv * xi1sq + 4.0 * h * h
         return np.where(num > 0.0, np.log(num / den), -np.inf)
-
-
-def reflectivity_log_average(curve: BoundaryCurve, q: PhasePoint, n_steps: int,
-                             h: float, pot: PotentialSpec, model: Model) -> float:
-    """Logarithmic average reflectivity over n_steps iterates (r_N).
-
-    (1/2N) sum_{n=1..N} log |R(beta^n q)|^2; returns -inf when the orbit
-    meets the zero set of the profile.
-    """
-    segs = iterate(curve, q, n_steps)
-    total = 0.0
-    for seg in segs:
-        sv = float(pot.symbol(seg.end.s, h, model))
-        val = _log_reflectivity_sq(seg.end.xi, sv, h, model)
-        if val == -np.inf:
-            return -math.inf
-        total += float(val)
-    return total / (2.0 * n_steps)
 
 
 # ---------------------------------------------------------------------------

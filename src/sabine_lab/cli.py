@@ -218,14 +218,18 @@ def emit_plot(candidates: list, bound_curve: list, path: str) -> None:
         fh.write("\n".join(parts).encode("ascii") + b"\n")
 
 
-def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model: Model):
-    """Circle decay bound against Re lambda (normal incidence, chord 2r)."""
+def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model: Model,
+                       h: float):
+    """Circle decay bound against Re lambda (normal incidence, chord 2r).
+
+    The barrier sigma is the one set at the window's scale h; each point
+    Re lambda = x has its own scale 1/x, which enters only the reflection
+    strength t: sigma / x for delta, sigma x for delta-prime.
+    """
+    sv = pot.symbol(0.0, h, model)
     line = []
     for x in x_values:
-        h_eff = 1.0 / x
-        sv = pot.symbol(0.0, h_eff, model)
-        # the reflection strength: h sigma for delta, sigma / h for delta-prime
-        t = h_eff * sv if model is Model.DELTA else sv / h_eff
+        t = sv / x if model is Model.DELTA else sv * x
         line.append((x, -math.log(1.0 + 4.0 / (t * t)) / (4.0 * curve.params["radius"])))
     return line
 
@@ -265,7 +269,7 @@ def _run_disk_oracle(config: RunConfig) -> list[str]:
     outputs = [config.out]
     if config.svg:
         xs = np.linspace(lo / config.h, hi / config.h, 64)
-        line = _circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model)
+        line = _circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model, config.h)
         emit_plot(candidates, line, config.svg)
         outputs.append(config.svg)
     return outputs
@@ -312,7 +316,7 @@ def _run_resonances(config: RunConfig) -> list[str]:
     if config.svg:
         if curve.kind is CurveKind.CIRCLE and pot.is_constant:
             xs = np.linspace(re_lo / config.h, re_hi / config.h, 64)
-            line = _circle_bound_line(xs, curve, pot, model)
+            line = _circle_bound_line(xs, curve, pot, model, config.h)
         else:
             gap = billiards.sabine_gap(curve, config.h, pot, model).bound
             line = [(re_lo / config.h, -gap), (re_hi / config.h, -gap)]

@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
+_MAX_EPS_B = 0.9             # cap on eps*b in the contraction condition
+_CONTRACT_MAX_ITER = 100
 DEFAULT_WINDOW = (0.5, 1.5)
 
 
@@ -74,30 +76,29 @@ class NewtonResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
-                    d: float, c: float = 0.9, max_iter: int = 100) -> NewtonResult:
+                    d: float) -> NewtonResult:
     """Root of F in |z - z0| <= eps, certified by the contraction bounds.
 
     f(z) returns the triple (F, F', F'') at z.  Requires |F(z0)| <= a,
     |F'(z0)| >= b and sup |F''| <= d on the disk, with
-    a + d*eps^2 < eps*b < c < 1.  Iterates the frozen-derivative map
+    a + d*eps^2 < eps*b < 0.9.  Iterates the frozen-derivative map
     g(z) = z - F(z)/F'(z0), which is a contraction with factor d*eps/b.
     """
-    if not (a + d * eps * eps < eps * b < c < 1.0):
+    if not (a + d * eps * eps < eps * b < _MAX_EPS_B):
         raise NewtonConditionError(
             f"contraction condition failed: a={a:.3e}, b={b:.3e}, d={d:.3e}, "
-            f"eps={eps:.3e} (need a + d*eps^2 < eps*b < {c})"
+            f"eps={eps:.3e} (need a + d*eps^2 < eps*b < {_MAX_EPS_B})"
         )
-    return _contract(f, z0, f(z0), eps, a, b, d, max_iter)[0]
+    return _contract(f, z0, f(z0), eps, a, b, d)[0]
 
 
-def _contract(f, z0: complex, f0, eps: float, a: float, b: float, d: float,
-              max_iter: int = 100):
+def _contract(f, z0: complex, f0, eps: float, a: float, b: float, d: float):
     """The iteration of ``newton_contract`` from f0 = f(z0), once its
     condition holds; returns the result and f at the root."""
     fz, dz0 = f0[0], f0[1]
     tol = 1e-12 * b * eps
     z = z0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _CONTRACT_MAX_ITER + 1):
         z_next = z - fz / dz0
         step = abs(z_next - z)
         z = z_next
@@ -107,12 +108,12 @@ def _contract(f, z0: complex, f0, eps: float, a: float, b: float, d: float,
             return NewtonResult(root=z, residual=abs(fz),
                                 contraction=d * eps / b, iterations=it), f_root
     raise NewtonConvergenceError(
-        f"no convergence after {max_iter} iterations; final |f| = {abs(fz):.3e} "
-        f"(bound estimates a={a:.3e}, b={b:.3e}, d={d:.3e} may be wrong)"
+        f"no convergence after {_CONTRACT_MAX_ITER} iterations; final |f| = "
+        f"{abs(fz):.3e} (bound estimates a={a:.3e}, b={b:.3e}, d={d:.3e} may be wrong)"
     )
 
 
-def _damped_newton(f, z, fz, max_iter=15, step_cap=None):
+def _damped_newton(f, z, fz, step_cap: float):
     """Plain Newton with |F|-monotone step damping; best-effort refiner.
 
     Starts from fz = f(z) and returns the last point with f there.  Steps
@@ -120,11 +121,11 @@ def _damped_newton(f, z, fz, max_iter=15, step_cap=None):
     so larger moves would leave the basin) and trial points outside the
     validated region count as non-improving.
     """
-    for _ in range(max_iter):
+    for _ in range(15):
         if fz[1] == 0:
             break
         step = fz[0] / fz[1]
-        if step_cap is not None and abs(step) > step_cap:
+        if abs(step) > step_cap:
             step *= step_cap / abs(step)
         lam = 1.0
         for _ in range(30):
@@ -162,7 +163,7 @@ def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
         a, b = abs(fc[0]), abs(fc[1])
         for _ in range(7):
             d = _second_derivative_bound(f, center, eps)
-            if a + d * eps * eps < eps * b < 0.9:
+            if a + d * eps * eps < eps * b < _MAX_EPS_B:
                 return _contract(f, center, fc, eps, a, b, d)
             eps *= 0.5
         raise NewtonConditionError(
@@ -173,7 +174,7 @@ def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
     try:
         result, f_root = attempt(z0, f0, eps0)
     except (NewtonConditionError, NewtonConvergenceError):
-        result, f_root = attempt(*_damped_newton(f, z0, f0, step_cap=2.0 * eps0),
+        result, f_root = attempt(*_damped_newton(f, z0, f0, 2.0 * eps0),
                                  eps0 / 4.0)
     # polish the certified root with fresh-derivative steps
     z = result.root

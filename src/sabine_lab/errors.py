@@ -10,7 +10,7 @@ class SabineLabError(Exception):
 
 
 class UnsupportedCurveKindError(SabineLabError):
-    """Operation not defined for this curve kind (e.g. angle maps on a stadium)."""
+    """Curve kind that BoundaryCurve does not implement."""
 
 
 class TangentLaunchError(SabineLabError):

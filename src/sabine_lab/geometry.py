@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -75,11 +74,6 @@ class SurfacePoint:
         )
 
 
-class RayHit(NamedTuple):
-    point: SurfacePoint
-    travel: float
-
-
 class BoundaryCurve:
     """Closed convex curve with arclength parametrization.
 
@@ -105,7 +99,7 @@ class BoundaryCurve:
             # exactly, and it holds for every real t (s(t + 2pi) = s(t) +
             # total_length).  The form a (E(t - pi/2 | 1 - b^2/a^2) + E(1 -
             # b^2/a^2)) subtracts two equal terms at t = 0 and cancels there:
-            # it gives angle_of_arclength(0) = -4.4e-16 on the 2:1 ellipse.
+            # it gives t(s = 0) = -4.4e-16 on the 2:1 ellipse.
             self._m = 1.0 - (a / b) ** 2
             self.total_length = 4.0 * b * float(special.ellipe(self._m))
             t = np.linspace(0.0, 2.0 * math.pi, _ELLIPSE_SPLINE_INTERVALS + 1)
@@ -336,30 +330,6 @@ class BoundaryCurve:
                 "tangent": np.stack([tx, ty], axis=-1),
                 "normal": np.stack([ty, -tx], axis=-1), "curvature": kap}
 
-    # -- angle <-> arclength -------------------------------------------------
-
-    def arclength_of_angle(self, t: float) -> float:
-        """Arclength of the parameter angle t (circle/ellipse only).
-
-        Monotone bijection [0, 2pi) -> [0, total_length), extended to all of
-        R by s(t + 2pi) = s(t) + total_length, so a full turn maps to the
-        full perimeter.
-        """
-        if self.kind is CurveKind.STADIUM:
-            raise UnsupportedCurveKindError(
-                "arclength_of_angle is undefined for the stadium; it is natively "
-                "arclength-parametrized"
-            )
-        if self.kind is CurveKind.CIRCLE:
-            return self.params["radius"] * float(t)
-        return float(self._s_of_t(float(t)))
-
-    def angle_of_arclength(self, s: float) -> float:
-        """Inverse of arclength_of_angle, in [0, 2pi)."""
-        if self.kind is CurveKind.STADIUM:
-            raise UnsupportedCurveKindError("angle parametrization undefined for the stadium")
-        return float(self._u_of_s(float(s)))
-
     # -- global metrics ------------------------------------------------------
 
     def diameter(self):
@@ -384,21 +354,9 @@ class BoundaryCurve:
 
     # -- ray tracing ---------------------------------------------------------
 
-    def ray_exit(self, origin, direction) -> RayHit:
-        """First boundary intersection of a ray at positive travel time.
-
-        The origin may be interior or on the boundary; a boundary launch must
-        point strictly inward (tangent launches are rejected).
-        """
-        o = np.asarray(origin, dtype=float).reshape(2)
-        d = np.asarray(direction, dtype=float).reshape(2)
-        nrm = math.hypot(d[0], d[1])
-        if nrm == 0.0:
-            raise TangentLaunchError("zero direction vector")
-        d = d / nrm
-        data, travel = self._ray_exit_many(o[None, :], d[None, :])
-        return RayHit(SurfacePoint.from_data(data, 0), float(travel[0]))
-
+    # No library path calls this (the billiard map steps through _exit); it
+    # stays because perfbench/tracing.py wraps it by name through the class
+    # __dict__ to count rays, and fails to install without it.
     def _ray_exit_many(self, origins, directions):
         """Vectorized ray exits; origins (N,2), unit directions (N,2).
 

@@ -22,6 +22,7 @@ from .errors import NotAResonanceError, SabineLabError
 from .geometry import BoundaryCurve
 
 _DEDUP_TOL = 1e-6
+_STRIP_FACTOR = 8.0
 _SIMPLEX_DIAMETER = 1e-8
 
 
@@ -35,7 +36,7 @@ class SearchWindow:
     """Complex search rectangle in rescaled coordinates (Im z <= 0).
 
     The imaginary range must stay inside the logarithmic strip
-    [-strip_factor * h * log(1/h), 0].
+    [-8 h log(1/h), 0].
     """
 
     re_range: tuple
@@ -43,7 +44,6 @@ class SearchWindow:
     coarse_grid: tuple
     h: float
     quad_n: int
-    strip_factor: float = 8.0
 
     def __post_init__(self):
         re_lo, re_hi = self.re_range
@@ -52,11 +52,11 @@ class SearchWindow:
             raise ValueError("re_range must be increasing")
         if not (im_lo < im_hi <= 0.0):
             raise ValueError("im_range must be increasing and nonpositive")
-        strip = self.strip_factor * self.h * math.log(1.0 / self.h)
+        strip = _STRIP_FACTOR * self.h * math.log(1.0 / self.h)
         if im_lo < -strip - 1e-15:
             raise ValueError(
                 f"im_range reaches {im_lo}, below the logarithmic strip "
-                f"-{strip:.6g} (strip_factor={self.strip_factor})"
+                f"-{strip:.6g} = -{_STRIP_FACTOR:g} h log(1/h)"
             )
         nx, ny = self.coarse_grid
         if nx < 1 or ny < 1:

@@ -1,13 +1,12 @@
 """Complex-argument Bessel and Hankel functions of integer order.
 
-The scalar functions (``bessel_j``, ``hankel1``, ``bessel_j_deriv``,
-``bessel_quad``, ``bessel_row``) evaluate scipy.special's ``jv``,
-``hankel1`` and ``hankel2``, which wrap the AMOS routines (D. E. Amos, ACM
-TOMS 12 (1986) 265-273), behind the lab's guards: arguments must lie in the
-validated strip Re z in (0, 2000], |Im z| <= 50 (``RegionError``), orders
-above 4|z| + 200 are refused and Hankel values that leave double range are
-reported (``RecurrenceBudgetError``).  Derivatives come from the neighbour
-identity J_n' = (J_{n-1} - J_{n+1})/2.
+``bessel_quad`` evaluates J_n, J_n', H1_n and H1_n' at one argument from
+scipy.special's ``jv``, ``hankel1`` and ``hankel2``, which wrap the AMOS
+routines (D. E. Amos, ACM TOMS 12 (1986) 265-273), behind the lab's guards:
+arguments must lie in the validated strip Re z in (0, 2000], |Im z| <= 50
+(``RegionError``), orders above 4|z| + 200 are refused and Hankel values
+that leave double range are reported (``RecurrenceBudgetError``).
+Derivatives come from the neighbour identity J_n' = (J_{n-1} - J_{n+1})/2.
 
 ``j0_h0_arrays`` is the in-house vectorized order-0 pair for kernel
 assembly: the plain-double power series below |w| = 12 and the
@@ -34,11 +33,9 @@ REGION_IM_MAX = 50.0
 _VEC_SERIES_RADIUS = 12.0    # vectorized switch (plain-double series below)
 
 
-def _check_region(z: complex, allow_zero: bool = False) -> complex:
+def _check_region(z: complex) -> complex:
     z = complex(z)
     if z == 0:
-        if allow_zero:
-            return z
         raise ZeroArgumentError("Hankel functions are singular at z = 0")
     if not (0.0 < z.real <= REGION_RE_MAX) or abs(z.imag) > REGION_IM_MAX:
         raise RegionError(
@@ -68,7 +65,7 @@ def _j_h1(n_lo: int, n_hi: int, z: complex):
 
 
 # ---------------------------------------------------------------------------
-# public scalar API
+# scalar quadruple for the mode equations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -93,21 +90,6 @@ def _require_order(n: int) -> int:
     return int(n)
 
 
-def _budget(n: int, z: complex) -> None:
-    if n > 4.0 * abs(z) + 200.0:
-        raise RecurrenceBudgetError(
-            f"order {n} exceeds the order budget 4|z|+200 at |z|={abs(z):.3g}"
-        )
-
-
-def _representable(n: int, z: complex, h: complex, hp: complex = 0j) -> None:
-    """Refuse H_n(z) and H_n'(z) values that left double range (nan or inf)."""
-    if not (cmath.isfinite(h) and cmath.isfinite(hp)):
-        raise RecurrenceBudgetError(
-            f"H_{n}({z}) exceeds double range; not representable"
-        )
-
-
 def _deriv(row: list, i: int) -> complex:
     """d/dz of row[i] by the neighbour identity; i == 0 means order 0."""
     if i == 0:
@@ -115,66 +97,25 @@ def _deriv(row: list, i: int) -> complex:
     return 0.5 * (row[i - 1] - row[i + 1])
 
 
-def bessel_j(n: int, z: complex) -> complex:
-    """Bessel function of the first kind J_n(z)."""
-    n = _require_order(n)
-    z = _check_region(z, allow_zero=True)
-    if z == 0:
-        return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-    _budget(n, z)
-    return _j_h1(n, n, z)[0][0]
-
-
-def hankel1(n: int, z: complex) -> complex:
-    """Hankel function of the first kind H^(1)_n(z)."""
-    n = _require_order(n)
-    z = _check_region(z)
-    _budget(n, z)
-    value = complex(special.hankel1(n, z))
-    _representable(n, z, value)
-    return value
-
-
-def bessel_j_deriv(n: int, z: complex) -> complex:
-    """d/dz J_n(z) via the neighbor identity."""
-    n = _require_order(n)
-    z = _check_region(z, allow_zero=True)
-    if z == 0:
-        if n == 1:
-            return 0.5 + 0.0j
-        return 0.0 + 0.0j
-    _budget(n + 1, z)
-    lo = max(n - 1, 0)
-    return _deriv(_j_h1(lo, n + 1, z)[0], n - lo)
-
-
 def bessel_quad(n: int, z: complex) -> BesselEval:
     """J, J', H1, H1' at z in one evaluation (orders max(n-1, 0)..n+1)."""
     n = _require_order(n)
     z = _check_region(z)
-    _budget(n + 1, z)
+    if n + 1 > 4.0 * abs(z) + 200.0:
+        raise RecurrenceBudgetError(
+            f"order {n + 1} exceeds the order budget 4|z|+200 at |z|={abs(z):.3g}"
+        )
     lo = max(n - 1, 0)
     jrow, hrow = _j_h1(lo, n + 1, z)
     i = n - lo
     hp = _deriv(hrow, i)
-    _representable(n, z, hrow[i], hp)
+    if not (cmath.isfinite(hrow[i]) and cmath.isfinite(hp)):
+        # H_n(z) or H_n'(z) left double range (nan or inf)
+        raise RecurrenceBudgetError(
+            f"H_{n}({z}) exceeds double range; not representable"
+        )
     return BesselEval(n=n, z=z, J=jrow[i], Jp=_deriv(jrow, i),
                       H1=hrow[i], H1p=hp)
-
-
-def bessel_row(n_max: int, z: complex) -> list[BesselEval]:
-    """BesselEval for every order 0..n_max at a common argument."""
-    n_max = _require_order(n_max)
-    z = _check_region(z)
-    _budget(n_max, z)
-    jrow, hrow = _j_h1(0, n_max + 1, z)
-    out = []
-    for n in range(n_max + 1):
-        hp = _deriv(hrow, n)
-        _representable(n, z, hrow[n], hp)
-        out.append(BesselEval(n=n, z=z, J=jrow[n], Jp=_deriv(jrow, n),
-                              H1=hrow[n], H1p=hp))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,13 @@ def test_criterion_4_operator_norm_exponent():
     check(4, ok, f"slope={slope:.4f} in [-0.73, -0.60]", time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_5_oracle_bie_equivalence():
+def test_criterion_5_oracle_bie_equivalence(monkeypatch):
     t0 = time.perf_counter()
+    # the work is counted exactly, as in criterion 6
+    evals = []
+    sigma_min = rs.sigma_min_boundary_operator
+    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
+                        lambda *a: evals.append(a) or sigma_min(*a))
     circle = BoundaryCurve.circle(1.0)
     h = 0.1
     oracle = do.mode_sweep(h, POT1, Model.DELTA, 8, window=(0.9, 1.1))
@@ -107,7 +112,9 @@ def test_criterion_5_oracle_bie_equivalence():
     spurious = [f for f in found
                 if min(abs(o.z - f.z) for o in oracle) >= 5e-3]
     ok = recovered and not spurious and len(found) == len(oracle)
-    detail = (f"{len(oracle)} oracle roots, {len(found)} search hits, "
+    ok = ok and (len(evals), len(found)) == (1843, 5)
+    detail = (f"{len(oracle)} oracle roots, {len(found)} search hits (5 expected) "
+              f"from {len(evals)} sigma_min evaluations (1843 expected), "
               f"worst match {max(matches):.2e}, spurious {len(spurious)}")
     check(5, ok, detail, time.perf_counter() - t0, 300.0)
 
@@ -146,10 +153,10 @@ def test_criterion_7_identity_suite():
         re = float(np.exp(rng.uniform(np.log(0.05), np.log(2000.0))))
         z = complex(re, float(rng.uniform(-5.0, 5.0)))
         n = int(rng.integers(0, min(100, int(2 * abs(z)) + 60) + 1))
-        row = specfun.bessel_row(max(n, 1) + 1, z)
+        m = max(n, 1)
+        row = {k: specfun.bessel_quad(k, z) for k in {n, m - 1, m, m + 1}}
         target = 2j / (math.pi * z)
         worst_w = max(worst_w, abs(row[n].wronskian() - target) / abs(target))
-        m = max(n, 1)
         scale = max(abs(row[m - 1].J), abs(row[m].J), abs(row[m + 1].J))
         rec = abs(row[m - 1].J + row[m + 1].J - (2 * m / z) * row[m].J)
         worst_rec = max(worst_rec, rec / scale)
@@ -163,7 +170,8 @@ def test_criterion_7_identity_suite():
     for n in range(21):
         v = np.exp(1j * n * t)
         ev = (mat.entries @ v) / v
-        exact = 0.5j * math.pi * specfun.bessel_j(n, 10.0) * specfun.hankel1(n, 10.0)
+        quad = specfun.bessel_quad(n, 10.0)
+        exact = 0.5j * math.pi * quad.J * quad.H1
         worst_diag = max(worst_diag, float(np.max(np.abs(ev - exact))))
     ok = worst_w < 1e-10 and worst_rec < 1e-10 and worst_der < 1e-10 and worst_diag < 1e-6
     detail = (f"wronskian {worst_w:.1e}, recurrence {worst_rec:.1e}, "

@@ -16,7 +16,8 @@ POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
 def circle_eigenvalue(n, lam):
     """Fourier-diagonalization oracle for convolution kernels on the circle."""
-    return 0.5j * math.pi * specfun.bessel_j(n, lam) * specfun.hankel1(n, lam)
+    ev = specfun.bessel_quad(n, lam)
+    return 0.5j * math.pi * ev.J * ev.H1
 
 
 def apply_to_mode(matrix, n):

@@ -20,6 +20,40 @@ from sabine_lab.geometry import BoundaryCurve
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
 
+def chord_average(curve, q, n_steps):
+    """Mean chord length l_N over the first n_steps iterates of q."""
+    return sum(seg.chord_length for seg in bl.iterate(curve, q, n_steps)) / n_steps
+
+
+def reflection_coefficient(q, h, pot, model):
+    """Plane-wave reflection coefficient R of the barrier at q, xi1 = sqrt(1 - xi^2).
+
+    delta: R = h sigma / (2i xi1 - h sigma); delta-prime: R = i sigma xi1 /
+    (i sigma xi1 - 2h).
+    """
+    xi1 = math.sqrt(1.0 - q.xi * q.xi)
+    sv = float(pot.symbol(q.s, h, model))
+    if model is Model.DELTA:
+        return (h * sv) / (2j * xi1 - h * sv)
+    return (1j * sv * xi1) / (1j * sv * xi1 - 2.0 * h)
+
+
+def reflectivity_log_average(curve, q, n_steps, h, pot, model):
+    """r_N = (1/2N) sum_{n=1..N} log |R(beta^n q)|^2, from the complex R."""
+    total = 0.0
+    for seg in bl.iterate(curve, q, n_steps):
+        r = abs(reflection_coefficient(seg.end, h, pot, model))
+        if r == 0.0:
+            return -math.inf
+        total += math.log(r * r)
+    return total / (2.0 * n_steps)
+
+
+def log_reflectivity(xi, h, pot, model, s=0.0):
+    """The library's log |R|^2 at one phase point."""
+    return float(bl._log_reflectivity_sq(xi, pot.symbol(s, h, model), h, model))
+
+
 def test_step_circle_diameter_orbit(unit_circle):
     seg = bl.billiard_step(unit_circle, PhasePoint(0.0, 0.0))
     assert abs(seg.end.s - math.pi) < 1e-12
@@ -156,27 +190,26 @@ def test_scalar_and_array_steps_agree(rng, unit_circle, ellipse21, stadium11):
 
 
 def test_chord_average(unit_circle, ellipse21):
-    assert abs(bl.chord_average(unit_circle, PhasePoint(0, 0), 7) - 2.0) < 1e-12
-    assert abs(bl.chord_average(unit_circle, PhasePoint(0, 0.5), 3) - math.sqrt(3)) < 1e-12
-    assert abs(bl.chord_average(ellipse21, PhasePoint(0, 0), 2) - 4.0) < 1e-12
+    assert abs(chord_average(unit_circle, PhasePoint(0, 0), 7) - 2.0) < 1e-12
+    assert abs(chord_average(unit_circle, PhasePoint(0, 0.5), 3) - math.sqrt(3)) < 1e-12
+    assert abs(chord_average(ellipse21, PhasePoint(0, 0), 2) - 4.0) < 1e-12
 
 
 def test_reflect_delta_values():
-    # h*sigma = 2 at normal incidence: R = 2/(2i-2) = -(1+i)/2
-    r = bl.reflect_delta(PhasePoint(0, 0), 2.0, POT1)
-    assert abs(r - (-(1 + 1j) / 2)) < 1e-15
-    assert abs(abs(r) ** 2 - 0.5) < 1e-15
+    # h*sigma = 2 at normal incidence: R = 2/(2i-2) = -(1+i)/2, |R|^2 = 1/2
+    assert abs(log_reflectivity(0.0, 2.0, POT1, Model.DELTA) - math.log(0.5)) < 1e-15
     # no barrier
-    zero_pot = PotentialSpec(V0=1.0, alpha=0.0, profile=lambda s: np.zeros_like(np.asarray(s, float)))
-    assert bl.reflect_delta(PhasePoint(0, 0), 1.0, zero_pot) == 0.0
+    zero_pot = PotentialSpec(V0=1.0, alpha=0.0,
+                             profile=lambda s: np.zeros_like(np.asarray(s, float)))
+    assert log_reflectivity(0.0, 1.0, zero_pot, Model.DELTA) == -math.inf
 
 
 def test_reflect_delta_glancing_limit():
     # |R_delta| -> 1 while |R_delta'| -> 0 as xi -> 1 at fixed strength
     vals_d, vals_p = [], []
     for xi in (0.9, 0.99, 0.999, 0.99999):
-        vals_d.append(abs(bl.reflect_delta(PhasePoint(0, xi), 1.0, POT1)))
-        vals_p.append(abs(bl.reflect_delta_prime(PhasePoint(0, xi), 0.2, POT1)))
+        vals_d.append(math.exp(0.5 * log_reflectivity(xi, 1.0, POT1, Model.DELTA)))
+        vals_p.append(math.exp(0.5 * log_reflectivity(xi, 0.2, POT1, Model.DELTA_PRIME)))
     assert all(b > a for a, b in zip(vals_d, vals_d[1:]))
     assert vals_d[-1] > 0.999
     assert all(b < a for a, b in zip(vals_p, vals_p[1:]))
@@ -184,12 +217,11 @@ def test_reflect_delta_glancing_limit():
 
 
 def test_reflect_delta_prime_values():
-    # sigma = 2h at xi1 = 1: R = i/(i-1) = (1-i)/2
-    r = bl.reflect_delta_prime(PhasePoint(0, 0), 0.5, POT1)
-    assert abs(r - (1 - 1j) / 2) < 1e-15
-    # perfect-barrier limit: sigma -> infinity gives R -> 1
+    # sigma = 2h at xi1 = 1: R = i/(i-1) = (1-i)/2, |R|^2 = 1/2
+    assert abs(log_reflectivity(0.0, 0.5, POT1, Model.DELTA_PRIME) - math.log(0.5)) < 1e-15
+    # perfect-barrier limit: sigma -> infinity gives |R| -> 1
     strong = PotentialSpec(V0=1e12, alpha=0.0)
-    assert abs(bl.reflect_delta_prime(PhasePoint(0, 0), 1.0, strong) - 1.0) < 1e-10
+    assert abs(log_reflectivity(0.0, 1.0, strong, Model.DELTA_PRIME)) < 1e-10
 
 
 @settings(max_examples=120, deadline=None)
@@ -197,16 +229,17 @@ def test_reflect_delta_prime_values():
        v0=st.floats(1e-3, 1e3), alpha=st.floats(0.0, 0.95))
 def test_reflection_moduli_below_one(xi, h, v0, alpha):
     pot = PotentialSpec(V0=v0, alpha=alpha)
-    q = PhasePoint(0.0, xi)
-    assert abs(bl.reflect_delta(q, h, pot)) < 1.0
-    assert abs(bl.reflect_delta_prime(q, h, pot)) < 1.0
+    assert log_reflectivity(xi, h, pot, Model.DELTA) < 0.0
+    assert log_reflectivity(xi, h, pot, Model.DELTA_PRIME) < 0.0
 
 
 def test_log_reflectivity_average_circle(unit_circle):
     # constant strength: value independent of depth, equals log|R|
     for n in (1, 3, 5):
-        val = bl.reflectivity_log_average(unit_circle, PhasePoint(0, 0), n, 2.0,
-                                          POT1, Model.DELTA)
+        ends = [seg.end for seg in bl.iterate(unit_circle, PhasePoint(0, 0), n)]
+        xi = np.array([q.xi for q in ends])
+        sv = POT1.symbol(np.array([q.s for q in ends]), 2.0, Model.DELTA)
+        val = bl._log_reflectivity_sq(xi, sv, 2.0, Model.DELTA).sum() / (2 * n)
         assert abs(val - 0.5 * math.log(0.5)) < 1e-12
 
 
@@ -214,9 +247,9 @@ def test_log_reflectivity_sentinel(unit_circle):
     gap_profile = PotentialSpec(
         V0=1.0, alpha=0.0,
         profile=lambda s: np.where(np.abs(np.asarray(s) - math.pi) < 0.5, 0.0, 1.0))
-    val = bl.reflectivity_log_average(unit_circle, PhasePoint(0, 0), 5, 2.0,
-                                      gap_profile, Model.DELTA)
-    assert val == -math.inf
+    # the diameter orbit from s = 0 lands at s = pi, where the profile vanishes
+    landing = bl.billiard_step(unit_circle, PhasePoint(0, 0)).end
+    assert log_reflectivity(landing.xi, 2.0, gap_profile, Model.DELTA, landing.s) == -math.inf
 
 
 def test_sabine_gap_circle_closed_form(unit_circle):
@@ -258,8 +291,8 @@ def test_grid_bound_is_orbit_average_at_minimizer(spec, model, alpha, varying):
     h = 0.05
     report = bl.sabine_gap(curve, h, pot, model, grid=(32, 17), n_average=6)
     n = report.n_average
-    logr = bl.reflectivity_log_average(curve, report.minimizer, n, h, pot, model)
-    expect = -logr / bl.chord_average(curve, report.minimizer, n)
+    logr = reflectivity_log_average(curve, report.minimizer, n, h, pot, model)
+    expect = -logr / chord_average(curve, report.minimizer, n)
     assert abs(report.bound - expect) <= 1e-12 * abs(expect)
 
 

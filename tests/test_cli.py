@@ -98,7 +98,7 @@ def test_svg_determinism_and_structure(tmp_path):
     pot = PotentialSpec(V0=1.0, alpha=0.0)
     cands = mode_sweep(0.05, pot, Model.DELTA, 0, window=(0.8, 1.2))
     line = cli._circle_bound_line([16.0, 20.0, 24.0], BoundaryCurve.circle(1.0), pot,
-                                  Model.DELTA)
+                                  Model.DELTA, 0.05)
     cli.emit_plot(cands, line, str(svg))
     first = svg.read_bytes()
     cli.emit_plot(cands, line, str(svg))
@@ -121,7 +121,8 @@ def test_plot_markers_on_resonance_side_of_bound(tmp_path):
     assert len(cands) >= 3
     for c in cands:
         x = c.z.real / h
-        line_im = cli._circle_bound_line([x], BoundaryCurve.circle(1.0), pot, Model.DELTA)[0][1]
+        line_im = cli._circle_bound_line([x], BoundaryCurve.circle(1.0), pot, Model.DELTA,
+                                         h)[0][1]
         assert c.z.imag / h <= line_im + 1e-9
 
 
@@ -132,9 +133,25 @@ def test_circle_bound_line_matches_sabine_gap(radius, model, alpha):
     h = 0.05
     curve = BoundaryCurve.circle(radius)
     pot = PotentialSpec(V0=1.0, alpha=alpha)
-    line_im = cli._circle_bound_line([1.0 / h], curve, pot, model)[0][1]
+    line_im = cli._circle_bound_line([1.0 / h], curve, pot, model, h)[0][1]
     bound = sabine_gap(curve, h, pot, model).bound
     assert abs(-line_im - bound) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.5), (Model.DELTA_PRIME, 0.8)])
+def test_circle_bound_line_holds_barrier_fixed(model, alpha):
+    # off Re lambda = 1/h the barrier stays the one set at the window's h;
+    # the point's own scale 1/x enters only the reflection strength t
+    h, V0 = 0.05, 1.5
+    pot = PotentialSpec(V0=V0, alpha=alpha)
+    sigma = V0 * h ** (-alpha if model is Model.DELTA else alpha)
+    xs = [0.9 / h, 1.1 / h]
+    line = cli._circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model, h)
+    for x, (x_line, line_im) in zip(xs, line):
+        t = sigma / x if model is Model.DELTA else sigma * x
+        expect = math.log(1.0 + 4.0 / (t * t)) / 4.0
+        assert x_line == x
+        assert abs(-line_im - expect) <= 1e-12 * expect
 
 
 def test_line_only_plot(tmp_path):

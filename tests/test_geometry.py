@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from sabine_lab.errors import TangentLaunchError, UnsupportedCurveKindError
-from sabine_lab.geometry import BoundaryCurve
+from sabine_lab.errors import TangentLaunchError
+from sabine_lab.geometry import BoundaryCurve, SurfacePoint
+
+
+def exit_hit(curve, origin, direction):
+    """Exit point and travel of one ray from origin along a unit direction."""
+    data, travel = curve._ray_exit_many(np.reshape(origin, (1, 2)),
+                                        np.reshape(direction, (1, 2)))
+    return SurfacePoint.from_data(data, 0), float(travel[0])
 
 
 def test_circle_anchors(unit_circle):
@@ -88,13 +95,15 @@ def test_arclength_property(ellipse21):
 
 
 def test_arclength_of_angle_circle(unit_circle):
-    assert abs(unit_circle.arclength_of_angle(math.pi / 2) - math.pi / 2) < 1e-14
+    # the circle's native parameter is the polar angle
+    assert abs(unit_circle._u_of_s(math.pi / 2) - math.pi / 2) < 1e-14
+    assert abs(unit_circle._s_of_u(math.pi / 2) - math.pi / 2) < 1e-14
 
 
 def test_arclength_of_angle_ellipse(ellipse21):
-    total = ellipse21.arclength_of_angle(2 * math.pi)
+    total = ellipse21._s_of_t(2 * math.pi)
     assert abs(total - ellipse21.total_length) < 1e-12
-    half = ellipse21.arclength_of_angle(math.pi)
+    half = ellipse21._s_of_t(math.pi)
     assert abs(half - ellipse21.total_length / 2) < 1e-10
     # independent adaptive-quadrature oracle for a generic angle
     t_probe = 1.234
@@ -103,10 +112,10 @@ def test_arclength_of_angle_ellipse(ellipse21):
         return math.hypot(2 * math.sin(t), math.cos(t))
 
     oracle, _ = integrate.quad(speed, 0.0, t_probe, epsabs=1e-13, epsrel=1e-13)
-    assert abs(ellipse21.arclength_of_angle(t_probe) - oracle) < 1e-10
+    assert abs(ellipse21._s_of_t(t_probe) - oracle) < 1e-10
     # inverse round trip
-    s = ellipse21.arclength_of_angle(t_probe)
-    assert abs(ellipse21.angle_of_arclength(s) - t_probe) < 1e-11
+    s = ellipse21._s_of_t(t_probe)
+    assert abs(ellipse21._u_of_s(s) - t_probe) < 1e-11
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 5.0, 20.0])
@@ -122,16 +131,11 @@ def test_ellipse_arclength_off_the_2to1_case(ratio):
             # split at the vertices, where the speed has its extrema
             nodes = [0] + [k * mpmath.pi / 2 for k in range(1, 4) if k * math.pi / 2 < t] + [t]
             oracle = float(mpmath.quad(speed, nodes))
-            assert abs(curve.arclength_of_angle(t) - oracle) < 1e-13 * L
+            assert abs(curve._s_of_t(t) - oracle) < 1e-13 * L
     for s in (0.0, 1e-3 * L, 0.5 * L, (1.0 - 1e-9) * L):
-        t = curve.angle_of_arclength(s)
+        t = curve._u_of_s(s)
         assert 0.0 <= t < 2.0 * math.pi
-        assert abs(curve.arclength_of_angle(t) - s) < 1e-12 * L
-
-
-def test_arclength_of_angle_unsupported_for_stadium(stadium11):
-    with pytest.raises(UnsupportedCurveKindError):
-        stadium11.arclength_of_angle(1.0)
+        assert abs(curve._s_of_t(t) - s) < 1e-12 * L
 
 
 def test_diameter_circle(unit_circle):
@@ -173,23 +177,23 @@ def test_diameter_invariant_under_radius_scaling():
 
 
 def test_ray_exit_circle_diameter(unit_circle):
-    hit = unit_circle.ray_exit((1.0, 0.0), (-1.0, 0.0))
-    assert np.allclose(hit.point.position, [-1, 0], atol=1e-12)
-    assert abs(hit.travel - 2.0) < 1e-12
+    point, travel = exit_hit(unit_circle, (1.0, 0.0), (-1.0, 0.0))
+    assert np.allclose(point.position, [-1, 0], atol=1e-12)
+    assert abs(travel - 2.0) < 1e-12
 
 
 def test_ray_exit_circle_oblique(unit_circle):
     # tangential component 1/2: exit at angle 2pi/3, travel sqrt(3)
     direction = np.array([-math.sqrt(3) / 2, 0.5])
-    hit = unit_circle.ray_exit((1.0, 0.0), direction)
-    assert abs(hit.point.s - 2 * math.pi / 3) < 1e-12
-    assert abs(hit.travel - math.sqrt(3)) < 1e-12
+    point, travel = exit_hit(unit_circle, (1.0, 0.0), direction)
+    assert abs(point.s - 2 * math.pi / 3) < 1e-12
+    assert abs(travel - math.sqrt(3)) < 1e-12
 
 
 def test_ray_exit_ellipse_axis(ellipse21):
-    hit = ellipse21.ray_exit((2.0, 0.0), (-1.0, 0.0))
-    assert np.allclose(hit.point.position, [-2, 0], atol=1e-10)
-    assert abs(hit.travel - 4.0) < 1e-12
+    point, travel = exit_hit(ellipse21, (2.0, 0.0), (-1.0, 0.0))
+    assert np.allclose(point.position, [-2, 0], atol=1e-10)
+    assert abs(travel - 4.0) < 1e-12
 
 
 def test_ray_exit_reversal(rng, unit_circle, ellipse21, stadium11):
@@ -199,9 +203,9 @@ def test_ray_exit_reversal(rng, unit_circle, ellipse21, stadium11):
             data = curve.point_at(s)
             xi = rng.uniform(-0.95, 0.95)
             direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
-            out = curve.ray_exit(data.position, direction)
-            back = curve.ray_exit(out.point.position, -direction)
-            assert np.linalg.norm(back.point.position - data.position) < 1e-9
+            out, _ = exit_hit(curve, data.position, direction)
+            back, _ = exit_hit(curve, out.position, -direction)
+            assert np.linalg.norm(back.position - data.position) < 1e-9
 
 
 def test_ray_exit_residual_on_curve(rng, unit_circle, ellipse21, stadium11):
@@ -212,21 +216,21 @@ def test_ray_exit_residual_on_curve(rng, unit_circle, ellipse21, stadium11):
             data = curve.point_at(s)
             xi = rng.uniform(-0.9, 0.9)
             direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
-            hit = curve.ray_exit(data.position, direction)
-            ref = curve.point_at(hit.point.s)
-            assert np.linalg.norm(hit.point.position - ref.position) < 1e-12
-            assert np.linalg.norm(hit.point.unit_tangent - ref.unit_tangent) < 1e-12
-            assert np.linalg.norm(hit.point.outward_normal - ref.outward_normal) < 1e-12
-            assert abs(hit.point.curvature - ref.curvature) < 1e-12 * max(1.0, ref.curvature)
+            hit, _ = exit_hit(curve, data.position, direction)
+            ref = curve.point_at(hit.s)
+            assert np.linalg.norm(hit.position - ref.position) < 1e-12
+            assert np.linalg.norm(hit.unit_tangent - ref.unit_tangent) < 1e-12
+            assert np.linalg.norm(hit.outward_normal - ref.outward_normal) < 1e-12
+            assert abs(hit.curvature - ref.curvature) < 1e-12 * max(1.0, ref.curvature)
             if curve is ellipse21:
-                x, y = hit.point.position
+                x, y = hit.position
                 assert abs((x / 2) ** 2 + y**2 - 1) < 1e-12
 
 
 def test_tangent_launch_rejected(unit_circle):
     p = unit_circle.point_at(0.3)
     with pytest.raises(TangentLaunchError):
-        unit_circle.ray_exit(p.position, p.unit_tangent)
+        exit_hit(unit_circle, p.position, p.unit_tangent)
 
 
 STADIUM_SHAPES = [(1.0, 1.0), (0.3, 2.7), (5.0, 0.2), (1e-3, 1.0), (100.0, 0.01)]
@@ -252,10 +256,10 @@ def test_stadium_ray_exit_from_centre(l, rho):
              ((0.0, 1.0), (0.0, rho), cap + l, rho),
              ((0.0, -1.0), (0.0, -rho), 2.0 * cap + 3.0 * l, rho)]
     for direction, position, s, travel in cases:
-        hit = curve.ray_exit((0.0, 0.0), direction)
-        assert np.allclose(hit.point.position, position, rtol=0.0, atol=1e-14 * (l + rho))
-        assert abs(hit.point.s - s) < 1e-14 * curve.total_length
-        assert abs(hit.travel - travel) < 1e-14 * travel
+        point, t = exit_hit(curve, (0.0, 0.0), direction)
+        assert np.allclose(point.position, position, rtol=0.0, atol=1e-14 * (l + rho))
+        assert abs(point.s - s) < 1e-14 * curve.total_length
+        assert abs(t - travel) < 1e-14 * travel
         # the single-orbit (float) exit agrees
         u, t = curve._exit(0.0, 0.0, *direction)
         assert abs(curve._s_of_u(u) - s) < 1e-14 * curve.total_length

@@ -20,9 +20,9 @@ def test_window_validation():
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.1, 0.2),
                         coarse_grid=(4, 4), h=0.1, quad_n=64)
     with pytest.raises(ValueError):
-        # below the logarithmic strip
+        # below the logarithmic strip -8 h log(1/h) = -1.84
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-5.0, -0.1),
-                        coarse_grid=(4, 4), h=0.1, quad_n=64, strip_factor=2.0)
+                        coarse_grid=(4, 4), h=0.1, quad_n=64)
 
 
 @pytest.mark.filterwarnings("ignore:lambda\\*diameter")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from sabine_lab import specfun
 from sabine_lab.errors import RecurrenceBudgetError, RegionError, ZeroArgumentError
@@ -31,10 +32,11 @@ def sample_argument(rng, im_band=5.0):
 
 
 def test_j0_at_zero_and_one():
-    assert specfun.bessel_j(0, 0) == 1.0
-    assert specfun.bessel_j(1, 0) == 0.0
+    # the quadruple carries H1, which is singular at z = 0
+    with pytest.raises(ZeroArgumentError):
+        specfun.bessel_quad(0, 0)
     oracle = series_oracle_j(0, 1.0)
-    assert abs(specfun.bessel_j(0, 1.0) - oracle) < 1e-14
+    assert abs(specfun.bessel_quad(0, 1.0).J - oracle) < 1e-14
     assert abs(oracle.real - 0.76519768655796655) < 1e-15
 
 
@@ -42,7 +44,7 @@ def test_series_oracle_agreement_moderate_arguments(rng):
     for _ in range(40):
         z = complex(rng.uniform(0.1, 13.0), rng.uniform(-5, 5))
         n = int(rng.integers(0, 8))
-        mine = specfun.bessel_j(n, z)
+        mine = specfun.bessel_quad(n, z).J
         oracle = series_oracle_j(n, z, terms=60)
         assert abs(mine - oracle) <= 1e-12 * max(abs(oracle), 1e-30)
 
@@ -64,9 +66,14 @@ def test_wronskian_named_point():
     assert abs(ev.wronskian() - target) < 1e-10 * abs(target)
 
 
+def quads(n_lo, n_hi, z):
+    """bessel_quad for each order n_lo..n_hi at a common argument."""
+    return {n: specfun.bessel_quad(n, z) for n in range(n_lo, n_hi + 1)}
+
+
 def test_three_term_recurrence(rng):
     z = 10 + 0.5j
-    row = specfun.bessel_row(7, z)
+    row = quads(4, 6, z)
     n = 5
     lhs = row[n - 1].J + row[n + 1].J
     rhs = (2 * n / z) * row[n].J
@@ -75,8 +82,8 @@ def test_three_term_recurrence(rng):
     for _ in range(60):
         z = sample_argument(rng)
         nmax = int(rng.integers(2, 40))
-        row = specfun.bessel_row(nmax, z)
         n = int(rng.integers(1, nmax))
+        row = quads(n - 1, n + 1, z)
         for attr in ("J", "H1"):
             vals = [getattr(row[m], attr) for m in (n - 1, n, n + 1)]
             resid = abs(vals[0] + vals[2] - (2 * n / z) * vals[1])
@@ -84,11 +91,12 @@ def test_three_term_recurrence(rng):
 
 
 def test_derivative_identities(rng):
-    assert abs(specfun.bessel_j_deriv(0, 2 + 1j) + specfun.bessel_j(1, 2 + 1j)) < 1e-12
+    z = 2 + 1j
+    assert abs(specfun.bessel_quad(0, z).Jp + specfun.bessel_quad(1, z).J) < 1e-12
     for _ in range(40):
         z = sample_argument(rng)
         nmax = int(rng.integers(1, 30))
-        row = specfun.bessel_row(nmax, z)
+        row = quads(0, nmax, z)
         for n in range(1, nmax):
             jd = 0.5 * (row[n - 1].J - row[n + 1].J)
             hd = 0.5 * (row[n - 1].H1 - row[n + 1].H1)
@@ -100,33 +108,33 @@ def test_derivative_identities(rng):
 @given(re=st.floats(0.1, 1500.0), im=st.floats(-4.0, 4.0), n=st.integers(0, 25))
 def test_conjugation_symmetry(re, im, n):
     z = complex(re, im)
-    a = specfun.bessel_j(n, np.conj(z))
-    b = np.conj(specfun.bessel_j(n, z))
+    a = specfun.bessel_quad(n, np.conj(z)).J
+    b = np.conj(specfun.bessel_quad(n, z).J)
     assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
 
 
 def test_row_wronskian_z50_n120():
-    row = specfun.bessel_row(120, 50.0 + 0j)
     target = 2j / (math.pi * 50.0)
-    for ev in row:
+    for ev in quads(0, 120, 50.0 + 0j).values():
         assert abs(ev.wronskian() - target) <= 1e-9 * abs(target)
 
 
 def test_row_consistent_with_pointwise():
+    # each order's quadruple against scipy's single-order J and H1
     z = 37.5 - 2.0j
-    row = specfun.bessel_row(24, z)
     for n in (0, 7, 24):
-        jn = specfun.bessel_j(n, z)
-        hn = specfun.hankel1(n, z)
-        assert abs(row[n].J - jn) <= 1e-12 * max(abs(jn), 1e-300)
-        assert abs(row[n].H1 - hn) <= 1e-12 * max(abs(hn), 1e-300)
+        ev = specfun.bessel_quad(n, z)
+        jn = complex(special.jv(n, z))
+        hn = complex(special.hankel1(n, z))
+        assert abs(ev.J - jn) <= 1e-12 * max(abs(jn), 1e-300)
+        assert abs(ev.H1 - hn) <= 1e-12 * max(abs(hn), 1e-300)
 
 
 def test_product_asymptotic_structure():
     # leading large-argument form of J0*H0 at z = 100
-    val = specfun.bessel_j(0, 100.0) * specfun.hankel1(0, 100.0)
+    ev = specfun.bessel_quad(0, 100.0)
     pred = (1.0 / (100.0 * math.pi)) * (cmath.exp(1j * (200.0 - math.pi / 2)) + 1.0)
-    assert abs(val - pred) < 2e-5
+    assert abs(ev.J * ev.H1 - pred) < 2e-5
 
 
 def test_product_asymptotic_residual_decays():
@@ -135,9 +143,9 @@ def test_product_asymptotic_residual_decays():
     zs = [30.0, 60.0, 120.0, 240.0, 480.0, 960.0]
     resid = []
     for z in zs:
-        val = specfun.bessel_j(1, z) * specfun.hankel1(1, z)
+        ev = specfun.bessel_quad(1, z)
         pred = (1.0 / (math.pi * z)) * (cmath.exp(1j * (2 * z - math.pi - math.pi / 2)) + 1.0)
-        resid.append(abs(val - pred))
+        resid.append(abs(ev.J * ev.H1 - pred))
     slope = np.polyfit(np.log(zs), np.log(resid), 1)[0]
     assert slope < -0.9
     assert max(r * z for r, z in zip(resid, zs)) < 0.01
@@ -147,9 +155,6 @@ def test_hankel_against_mpmath(rng):
     for _ in range(25):
         z = sample_argument(rng)
         n = int(rng.integers(0, 20))
-        mine = specfun.hankel1(n, z)
-        ref = complex(mp.hankel1(n, mp.mpc(z)))
-        assert abs(mine - ref) <= 1e-10 * abs(ref)
         # the quadruple, derivatives included, against an independent reference
         ev = specfun.bessel_quad(n, z)
         zm = mp.mpc(z)
@@ -162,23 +167,19 @@ def test_hankel_against_mpmath(rng):
 
 def test_region_and_budget_errors():
     with pytest.raises(RegionError):
-        specfun.bessel_j(0, -1.0 + 0j)
+        specfun.bessel_quad(0, -1.0 + 0j)
     with pytest.raises(RegionError):
-        specfun.bessel_j(0, 100 + 80j)
-    with pytest.raises(ZeroArgumentError):
-        specfun.hankel1(0, 0)
+        specfun.bessel_quad(0, 100 + 80j)
     with pytest.raises(RecurrenceBudgetError):
-        specfun.bessel_row(500, 2.0 + 0j)
+        specfun.bessel_quad(500, 2.0 + 0j)
 
 
 def test_row_budget_overflow_is_reported():
-    # legal order budget but H leaves double range
+    # legal order budget (n + 1 = 204 = 4|z| + 200) but H leaves double range
     with pytest.raises(RecurrenceBudgetError):
-        specfun.bessel_row(204, 1.0 + 0j)
+        specfun.bessel_quad(203, 1.0 + 0j)
     with pytest.raises(RecurrenceBudgetError):
         specfun.bessel_quad(150, 1.0)
-    with pytest.raises(RecurrenceBudgetError):
-        specfun.hankel1(150, 1.0)
 
 
 def test_vectorized_order0_matches_scalar():
@@ -187,6 +188,6 @@ def test_vectorized_order0_matches_scalar():
                   200.0 + 0j, 1600.0 + 0j])
     j0, h0 = specfun.j0_h0_arrays(w)
     for i, wi in enumerate(w):
-        assert abs(j0[i] - specfun.bessel_j(0, wi)) < 5e-12
-        ref = specfun.hankel1(0, wi)
-        assert abs(h0[i] - ref) < 5e-12 * max(1.0, abs(ref))
+        ev = specfun.bessel_quad(0, wi)
+        assert abs(j0[i] - ev.J) < 5e-12
+        assert abs(h0[i] - ev.H1) < 5e-12 * max(1.0, abs(ev.H1))
