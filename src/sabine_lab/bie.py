@@ -12,7 +12,8 @@ the kernel is evaluated on the distinct distances and gathered into the
 entries asked for.  The smallest singular value of the discretized
 I + G(lambda) V is the functional whose near-vanishing marks a resonance.
 
-The spectrum takes one of three paths, chosen from the distance index:
+The spectrum takes one of three paths, chosen in ``_singular_values`` (for
+sigma_min and the operator norm alike) from the distance index and symbol:
 
 * FFT.  When every entry depends only on (i - j) mod N, as on the circle,
   the matrix is circulant: its singular values are the moduli of the FFT of
@@ -28,7 +29,7 @@ The spectrum takes one of three paths, chosen from the distance index:
   operator norm take four small SVDs.
 * Dense.  Everything else, such as the stadium (its s = 0 lies at a cap
   junction, so its index fails the reflection test) and profiles without
-  the symmetry, takes the dense SVD of the assembled matrix.
+  the symmetry, takes the dense SVD of the whole matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +47,9 @@ from . import specfun
 from .billiards import Model, PotentialSpec
 from .errors import RegionError
 from .geometry import BoundaryCurve
+
+# relative gap under which two distances, or a symbol and its reflection, are equal
+_SYMMETRY_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +149,7 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # equality keeps 30,559 groups on the 2:1 ellipse at N = 256 and 1e-15
     # keeps 11,029; every tolerance from 1e-14 to 1e-12 keeps 8,256, and the
     # widest group spans 5.6e-15 of the largest distance (6.8e-15 at 5:1).
-    dist = rs[np.concatenate(([True], np.diff(rs) > 1e-14 * rs[-1]))]
+    dist = rs[np.concatenate(([True], np.diff(rs) > _SYMMETRY_RTOL * rs[-1]))]
     return dist, squareform(np.searchsorted(dist, r, side="right"))
 
 
@@ -229,20 +234,33 @@ def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
     return LayerMatrix(entries=_kernel_entries(grid, lam, np.s_[:, :]), grid=grid)
 
 
+def _singular_values(grid: NystromGrid, entries, shift: float,
+                     sv: np.ndarray) -> np.ndarray:
+    """Every singular value of shift * I + A diag(sv), where entries(sel)
+    returns A at the index selection sel: |shift + sv[0] fft(column 0)| on a
+    circulant grid with a constant symbol, the four blocks of rows 0 .. N/4
+    on a parity grid with a symbol that both reflections keep, and the dense
+    SVD otherwise.
+    """
+    N = grid.N
+    if grid.circulant and (sv == sv[0]).all():
+        return np.abs(shift + sv[0] * np.fft.fft(entries(np.s_[:, 0])))
+    folded = grid.parity and all(np.abs(sv[g] - sv).max() <= _SYMMETRY_RTOL * np.abs(sv).max()
+                                 for g in _reflections(N))
+    m = N // 4 + 1 if folded else N
+    op = shift * np.eye(m, N, dtype=complex) + entries(np.s_[:m, :]) * sv[None, :]
+    return _parity_svals(op) if folded else np.linalg.svd(op, compute_uv=False)
+
+
 def operator_norm(matrix: LayerMatrix) -> float:
     """L2(dS) operator norm: largest singular value of the matrix.
 
     Every node carries the arclength weight L/N, so the weight-symmetrized
-    matrix D A D^-1 (D = diag(sqrt(L/N))) is the matrix itself.  A circulant
-    matrix is normal, so its singular values are |fft(first column)|; on a
-    parity grid they come from the blocks of rows 0 .. N/4.
+    matrix D A D^-1 (D = diag(sqrt(L/N))) is the matrix itself.
     """
     grid = matrix.grid
-    if grid.circulant:
-        return float(np.abs(np.fft.fft(matrix.entries[:, 0])).max())
-    if grid.parity:
-        return float(_parity_svals(matrix.entries[:grid.N // 4 + 1]).max())
-    return float(np.linalg.svd(matrix.entries, compute_uv=False)[0])
+    return float(_singular_values(grid, matrix.entries.__getitem__, 0.0,
+                                  np.ones(grid.N)).max())
 
 
 def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
@@ -250,33 +268,13 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     """Smallest singular value (and condition number) of I + G(z/h) V.
 
     Near-vanishing of sigma_min marks a resonance; the condition number is
-    the complementary diagnostic maximized at resonances.  On a circulant
-    grid with a constant symbol v the singular values are
-    |1 + v fft(column 0)|.  On a parity grid with a symbol that both
-    reflections keep (to 1e-14 of its largest value, the tolerance that
-    groups the distances) they come from the four blocks of rows 0 .. N/4.
-    Every other case takes the dense SVD.
+    the complementary diagnostic maximized at resonances.
     """
     sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
     if not sv.any():
         return BoundaryOperatorConditioning(sigma_min=1.0, cond=1.0)
-    lam = complex(z) / h
-    if grid.circulant and (sv == sv[0]).all():
-        column = _kernel_entries(grid, lam, np.s_[:, 0])
-        svals = np.abs(1.0 + sv[0] * np.fft.fft(column))
-        smin, smax = svals.min(), svals.max()
-    elif grid.parity and all(np.abs(sv[g] - sv).max() <= 1e-14 * np.abs(sv).max()
-                             for g in _reflections(grid.N)):
-        m = grid.N // 4 + 1
-        rows = np.eye(m, grid.N, dtype=complex) + _kernel_entries(
-            grid, lam, np.s_[:m, :]) * sv[None, :]
-        svals = _parity_svals(rows)
-        smin, smax = svals.min(), svals.max()
-    else:
-        layer = assemble_single_layer(grid, lam)
-        op = np.eye(grid.N, dtype=complex) + layer.entries * sv[None, :]
-        svals = np.linalg.svd(op, compute_uv=False)
-        smin, smax = svals[-1], svals[0]
+    svals = _singular_values(grid, partial(_kernel_entries, grid, complex(z) / h), 1.0, sv)
+    smin, smax = svals.min(), svals.max()
     return BoundaryOperatorConditioning(
         sigma_min=float(smin),
         cond=float(smax / smin) if smin > 0 else math.inf,

@@ -287,7 +287,7 @@ def _run_resonances(config: RunConfig) -> list[str]:
                 "circle (exact per-mode solving); general-curve delta-prime "
                 "search is out of scope"
             )
-        n_max = max(0, int(0.95 * re_lo / config.h))
+        n_max = int(re_hi / config.h)
         cands = disk_oracle.mode_sweep(config.h, pot, model, n_max,
                                        window=(re_lo, re_hi))
         cands = [c for c in cands if im_lo <= c.z.imag <= im_hi]

@@ -269,17 +269,14 @@ def _anchor_lambda(n: int, k: int) -> float:
     return lam
 
 
-def mode_guess(n: int, k: int, h: float, pot: PotentialSpec, model: Model) -> complex:
-    """Initial guess z0 = h*(anchor + displacement) for the (n, k) root.
+def mode_guess(n: int, lam: float, h: float, pot: PotentialSpec, model: Model) -> complex:
+    """Initial guess z0 = h*(lam + displacement) for the root anchored at lam.
 
     The displacement solves the leading asymptotic model of the mode
     equation: e^{i Phi} = B with B = 2i*lam*xi1*h^alpha/V0 - 1 (delta) or
     B = 1 + 2i/(lam*xi1*h^alpha*V0) (delta-prime); for n = 0 this reduces
     to the -i(h/2)log(...) lattice formula.
     """
-    lam = _anchor_lambda(n, k)
-    if lam <= n * (1.0 + 1e-9):
-        raise WindowMissError(f"mode (n={n}, k={k}) anchors at glancing")
     xi1 = math.sqrt(max(1e-300, 1.0 - (n / lam) ** 2))
     if model is Model.DELTA:
         big_b = 2j * lam * xi1 * h ** pot.alpha / pot.V0 - 1.0
@@ -292,13 +289,15 @@ def mode_guess(n: int, k: int, h: float, pot: PotentialSpec, model: Model) -> co
 def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
                 window) -> ResonanceCandidate:
     lo, hi = window
-    anchor = h * _anchor_lambda(n, k)
-    if not (lo <= anchor <= hi):
+    lam = _anchor_lambda(n, k)
+    if not (lo <= h * lam <= hi):
         raise WindowMissError(
-            f"mode (n={n}, k={k}) anchor Re z = {anchor:.6f} outside window "
+            f"mode (n={n}, k={k}) anchor Re z = {h * lam:.6f} outside window "
             f"[{lo}, {hi}]"
         )
-    z0 = mode_guess(n, k, h, pot, model)
+    if lam <= n * (1.0 + 1e-9):
+        raise WindowMissError(f"mode (n={n}, k={k}) anchors at glancing")
+    z0 = mode_guess(n, lam, h, pot, model)
     f = mode_equation(n, h, pot, model)
     result = _certified_solve(f, z0, eps0=math.pi * h / 4.0)
     z = result.root

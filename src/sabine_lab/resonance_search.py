@@ -62,23 +62,19 @@ class SearchWindow:
         if nx < 1 or ny < 1:
             raise ValueError("coarse_grid must be at least 1x1")
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.re_range[0] - margin <= z.real <= self.re_range[1] + margin
-                and self.im_range[0] - margin <= z.imag <= self.im_range[1] + margin)
+    def contains(self, z: complex) -> bool:
+        return (self.re_range[0] <= z.real <= self.re_range[1]
+                and self.im_range[0] <= z.imag <= self.im_range[1])
 
 
 @dataclass
 class ScanField:
     """sigma_min / condition-number samples over the window grid."""
 
-    window: SearchWindow
     re: np.ndarray
     im: np.ndarray
     sigma_min: np.ndarray   # shape (nx, ny)
     cond: np.ndarray
-
-    def z(self, i: int, j: int) -> complex:
-        return complex(self.re[i], self.im[j])
 
 
 def scan(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSpec) -> ScanField:
@@ -94,7 +90,7 @@ def scan(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSpec) -> Scan
             res = sigma_min_boundary_operator(grid, complex(re[i], im[j]), window.h, pot)
             sig[i, j] = res.sigma_min
             cond[i, j] = res.cond
-    return ScanField(window=window, re=re, im=im, sigma_min=sig, cond=cond)
+    return ScanField(re=re, im=im, sigma_min=sig, cond=cond)
 
 
 def _local_minima(field: ScanField) -> list[complex]:
@@ -115,7 +111,7 @@ def _local_minima(field: ScanField) -> list[complex]:
             if j < ny - 1:
                 neighbors.append(sig[i, j + 1])
             if neighbors and all(val < nb for nb in neighbors):
-                out.append(field.z(i, j))
+                out.append(complex(field.re[i], field.im[j]))
     return out
 
 
@@ -200,7 +196,7 @@ def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSp
 
     results = [refine_seed(seed) for seed in seeds]
     accepted = [cand for cand in results
-                if cand is not None and window.contains(cand.z, margin=0.0)]
+                if cand is not None and window.contains(cand.z)]
     accepted.sort(key=lambda c: (c.z.real, c.z.imag))
     deduped: list[ResonanceCandidate] = []
     for cand in accepted:

@@ -198,11 +198,18 @@ def dense_conditioning(grid, z, h, pot):
     return svals[-1], svals[0] / svals[-1]
 
 
-def count_dense_assemblies(monkeypatch):
+def count_full_selections(monkeypatch):
+    """Record each kernel-entry call that fills the whole N x N matrix."""
     calls = []
-    original = bie.assemble_single_layer
-    monkeypatch.setattr(bie, "assemble_single_layer",
-                        lambda *a: calls.append(a) or original(*a))
+    original = bie._kernel_entries
+
+    def counted(grid, lam, sel):
+        entries = original(grid, lam, sel)
+        if entries.shape == (grid.N, grid.N):
+            calls.append(sel)
+        return entries
+
+    monkeypatch.setattr(bie, "_kernel_entries", counted)
     return calls
 
 
@@ -252,7 +259,7 @@ def test_parity_flag_follows_distance_index(unit_circle, ellipse21, stadium11):
 
 @pytest.mark.filterwarnings("ignore:stadium")
 def test_sigma_min_path_choice(monkeypatch, unit_circle, ellipse21, stadium11):
-    calls = count_dense_assemblies(monkeypatch)
+    calls = count_full_selections(monkeypatch)
     z, h = 1.02 - 0.12j, 0.1
     for curve, dense_calls in ((unit_circle, 0), (ellipse21, 0), (stadium11, 1)):
         calls.clear()
@@ -301,21 +308,27 @@ def test_parity_spectrum_matches_dense_svd(ellipse21):
 
 
 @pytest.mark.filterwarnings("ignore:lambda\\*diameter")
-def test_parity_operator_norm_matches_dense_svd(ellipse21):
-    for curve, N, lam in ((ellipse21, 256, 10.0 - 0.5j),
-                          (BoundaryCurve.from_spec("ellipse:a=5,b=1"), 512, 12.0)):
+@pytest.mark.filterwarnings("ignore:stadium")
+def test_parity_operator_norm_matches_dense_svd(ellipse21, stadium11):
+    # the stadium and N % 4 != 0 take the dense path of operator_norm
+    for curve, N, lam, parity in ((ellipse21, 256, 10.0 - 0.5j, True),
+                                  (BoundaryCurve.from_spec("ellipse:a=5,b=1"), 512, 12.0, True),
+                                  (stadium11, 64, 3.0 - 0.2j, False),
+                                  (ellipse21, 66, 5.0, False)):
         grid = bie.NystromGrid.build(curve, N)
+        assert grid.parity is parity and not grid.circulant
         mat = bie.assemble_single_layer(grid, lam)
         dense = np.linalg.svd(mat.entries, compute_uv=False)
         assert abs(bie.operator_norm(mat) - dense[0]) <= 1e-13 * dense[0]
-        # the four blocks hold every singular value, not only the largest
-        folded = np.sort(bie._parity_svals(mat.entries[:N // 4 + 1]))[::-1]
-        assert folded.shape == dense.shape
-        assert np.max(np.abs(folded - dense)) <= 1e-13 * dense[0]
+        if parity:
+            # the four blocks hold every singular value, not only the largest
+            folded = np.sort(bie._parity_svals(mat.entries[:N // 4 + 1]))[::-1]
+            assert folded.shape == dense.shape
+            assert np.max(np.abs(folded - dense)) <= 1e-13 * dense[0]
 
 
 def test_column_path_keeps_checks(monkeypatch, unit_circle):
-    calls = count_dense_assemblies(monkeypatch)
+    calls = count_full_selections(monkeypatch)
     grid = bie.NystromGrid.build(unit_circle, 32)
     with pytest.warns(UserWarning, match="lambda\\*diameter"):
         bie.sigma_min_boundary_operator(grid, 3.0 - 0.1j, 0.1, POT1)

@@ -66,6 +66,24 @@ def test_delta_prime_resonances_requires_circle(tmp_path, capsys):
     assert "delta-prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, h", [(0.9, 0.02), (0.8, 0.05)])
+def test_delta_prime_resonances_match_mode_sweep(tmp_path, alpha, h):
+    # modes whose roots lie in the upper part of the window are tried too:
+    # the rows equal a sweep over twice the modes, filtered by Im z
+    out = tmp_path / "res.csv"
+    code = run_cli(["resonances", "--curve", "circle:r=1", "--model", "delta-prime",
+                    "--h", str(h), "--V0", "1", "--alpha", str(alpha),
+                    "--window", "0.9:1.1:-0.25:-0.02", "--out", str(out)])
+    assert code == 0
+    rows = [tuple(float(x) for x in line.split(",")[:2])
+            for line in out.read_text().strip().splitlines()[1:]]
+    sweep = mode_sweep(h, PotentialSpec(V0=1.0, alpha=alpha), Model.DELTA_PRIME,
+                       int(2 * 1.1 / h), window=(0.9, 1.1))
+    expected = sorted((c.z.real, c.z.imag) for c in sweep if -0.25 <= c.z.imag <= -0.02)
+    assert len(expected) == {0.02: 10, 0.05: 4}[h]
+    assert rows == expected
+
+
 def test_csv_byte_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["disk-oracle", "--h", "0.05", "--n-max", "2", "--window", "0.8:1.2"]
