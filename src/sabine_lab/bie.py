@@ -191,18 +191,10 @@ def _parity_svals(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(svals)
 
 
-def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
-    """Nystrom entries at frequency lambda (checked against the validated
-    region) at the index selection sel of the N x N matrix: all of it, one
-    column of a circulant grid or the representative rows of a parity grid.
-
-    The kernel K = (i/4) H0(lambda r) * speed is split as
-    K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
-    * speed; an entry is logw * K1 + (2pi/N) (i/4) H0 * speed off the
-    diagonal, where K2's limit involves the Euler-Mascheroni constant and
-    the parametrization speed.
-    """
-    lam = complex(lam)
+def _check_frequency(grid: NystromGrid, lam: complex) -> None:
+    """Raise RegionError outside the validated region; warn when lambda
+    under-resolves the grid.  Called first thing by each public routine, so
+    that the warning names that routine's caller."""
     N, d = grid.N, grid.diameter
     if lam.real <= 0:
         raise RegionError(f"frequency {lam} must have positive real part")
@@ -217,6 +209,20 @@ def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
             "the discretization is under-resolved (rule of thumb)",
             stacklevel=3,
         )
+
+
+def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
+    """Nystrom entries at frequency lambda (checked by the caller) at the
+    index selection sel of the N x N matrix: all of it, one column of a
+    circulant grid or the representative rows of a parity grid.
+
+    The kernel K = (i/4) H0(lambda r) * speed is split as
+    K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
+    * speed; an entry is logw * K1 + (2pi/N) (i/4) H0 * speed off the
+    diagonal, where K2's limit involves the Euler-Mascheroni constant and
+    the parametrization speed.
+    """
+    N = grid.N
     speed = grid.curve.total_length / (2.0 * np.pi)
     group = grid.group[sel]
     vec_j = np.ones(grid.dist.size + 1, dtype=complex)     # J0 -> 1 on the diagonal
@@ -231,6 +237,8 @@ def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
 
 def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
     """Nystrom matrix of the single layer operator at frequency lambda."""
+    lam = complex(lam)
+    _check_frequency(grid, lam)
     return LayerMatrix(entries=_kernel_entries(grid, lam, np.s_[:, :]), grid=grid)
 
 
@@ -273,7 +281,9 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
     sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
     if not sv.any():
         return BoundaryOperatorConditioning(sigma_min=1.0, cond=1.0)
-    svals = _singular_values(grid, partial(_kernel_entries, grid, complex(z) / h), 1.0, sv)
+    lam = complex(z) / h
+    _check_frequency(grid, lam)
+    svals = _singular_values(grid, partial(_kernel_entries, grid, lam), 1.0, sv)
     smin, smax = svals.min(), svals.max()
     return BoundaryOperatorConditioning(
         sigma_min=float(smin),

@@ -1,9 +1,12 @@
 """Command-line surface for the resonance laboratory.
 
 Subcommands: disk-oracle, resonances, sabine-bound, opnorm-scaling,
-billiards, from-manifest.  Every run writes a CSV (plus SVG on request) and
-a JSON manifest echoing the fully resolved configuration; identical
-configurations produce byte-identical CSV/SVG output.
+billiards, from-manifest.  Each subparser in ``build_parser`` is the one
+declaration of its command's flags, types and defaults.  Every run writes a
+CSV (plus SVG on request) and a JSON manifest recording the command and its
+resolved flags; ``from-manifest`` replays one from the command's defaults
+overwritten by the recorded values, and identical arguments produce
+byte-identical CSV/SVG output.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 """
@@ -11,13 +14,10 @@ Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from . import __version__, bie, billiards, disk_oracle, resonance_search
 from .billiards import Model, PotentialSpec
 from .errors import SabineLabError
 from .geometry import BoundaryCurve, CurveKind
-
-_COMMANDS = ("disk-oracle", "resonances", "sabine-bound", "opnorm-scaling", "billiards")
 
 
 def _fmt(x) -> str:
@@ -46,61 +44,6 @@ def _model_from_flag(value: str) -> Model:
     raise ValueError(f"--model must be 'delta' or 'delta-prime', got {value!r}")
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved, manifest-serializable run description."""
-
-    command: str
-    curve: str = "circle:r=1"
-    h: float = 0.1
-    V0: float = 1.0
-    alpha: float = 0.0
-    model: str = "delta"
-    window: str = "0.5:1.5"
-    grid: str = "33:13"
-    quad_n: int = 256
-    n_max: int = 0
-    delta1: float = 0.05
-    n_average: int = 8
-    phase_grid: str = "64:64"
-    lambdas: str = "50,100,200,400,800"
-    s0: float = 0.0
-    xi0: float = 0.0
-    steps: int = 16
-    out: str = "out.csv"
-    svg: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data) -> "RunConfig":
-        """Rebuild a config from a manifest; unknown keys are ignored.
-
-        Raises ValueError naming the offending field when data is not an
-        object, the command is missing or unknown, or a value's type does not
-        match its field's (an int is accepted for a float field).
-        """
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be an object, got {type(data).__name__}")
-        if data.get("command") not in _COMMANDS:
-            raise ValueError(f"config field 'command' must be one of {', '.join(_COMMANDS)}, "
-                             f"got {data.get('command')!r}")
-        values = {}
-        for name, hint in get_type_hints(cls).items():
-            if name not in data:
-                continue
-            value = data[name]
-            allowed = get_args(hint) or (hint,)
-            if float in allowed:
-                allowed += (int,)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"config field {name!r} must be "
-                                 f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
-            values[name] = float(value) if hint is float else value
-        return cls(**values)
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -114,13 +57,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(config: RunConfig, wall_time: float, outputs: list[str]) -> str:
-    path = config.out + ".manifest.json"
+def _write_manifest(args: argparse.Namespace, wall_time: float, outputs: list[str]) -> str:
+    path = args.out + ".manifest.json"
     payload = {
         "tool": "sabine-lab",
         "version": __version__,
-        "command": config.command,
-        "config": config.to_dict(),
+        "command": args.command,
+        "config": vars(args),
         "wall_time_s": wall_time,
         "outputs": outputs,
     }
@@ -224,14 +167,12 @@ def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model
 
     The barrier sigma is the one set at the window's scale h; each point
     Re lambda = x has its own scale 1/x, which enters only the reflection
-    strength t: sigma / x for delta, sigma x for delta-prime.
+    coefficient at xi = 0.  The line is log |R|^2 over twice the chord.
     """
     sv = pot.symbol(0.0, h, model)
-    line = []
-    for x in x_values:
-        t = sv / x if model is Model.DELTA else sv * x
-        line.append((x, -math.log(1.0 + 4.0 / (t * t)) / (4.0 * curve.params["radius"])))
-    return line
+    chord = 2.0 * curve.params["radius"]
+    return [(x, float(billiards._log_reflectivity_sq(0.0, sv, 1.0 / x, model)) / (2.0 * chord))
+            for x in x_values]
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +193,34 @@ def _parse_grid(text: str, flag: str):
     return int(parts[0]), int(parts[1])
 
 
-def _run_disk_oracle(config: RunConfig) -> list[str]:
-    model = _model_from_flag(config.model)
-    lo, hi = _parse_range(config.window, 2, "--window")
-    pot = PotentialSpec(V0=config.V0, alpha=config.alpha)
-    candidates = disk_oracle.mode_sweep(config.h, pot, model, config.n_max,
+def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
+    model = _model_from_flag(args.model)
+    lo, hi = _parse_range(args.window, 2, "--window")
+    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+    candidates = disk_oracle.mode_sweep(args.h, pot, model, args.n_max,
                                         window=(lo, hi))
     rows = [
-        [model.value, c.provenance.n, c.provenance.k, config.h, config.alpha,
-         config.V0, c.z.real, c.z.imag, c.residual]
+        [model.value, c.provenance.n, c.provenance.k, args.h, args.alpha,
+         args.V0, c.z.real, c.z.imag, c.residual]
         for c in candidates
     ]
     rows.sort(key=lambda r: (r[6], r[1]))
-    _write_csv(config.out, ["model", "n", "k", "h", "alpha", "V0",
+    _write_csv(args.out, ["model", "n", "k", "h", "alpha", "V0",
                             "re_z", "im_z", "residual"], rows)
-    outputs = [config.out]
-    if config.svg:
-        xs = np.linspace(lo / config.h, hi / config.h, 64)
-        line = _circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model, config.h)
-        emit_plot(candidates, line, config.svg)
-        outputs.append(config.svg)
+    outputs = [args.out]
+    if args.svg:
+        xs = np.linspace(lo / args.h, hi / args.h, 64)
+        line = _circle_bound_line(xs, BoundaryCurve.circle(1.0), pot, model, args.h)
+        emit_plot(candidates, line, args.svg)
+        outputs.append(args.svg)
     return outputs
 
 
-def _run_resonances(config: RunConfig) -> list[str]:
-    model = _model_from_flag(config.model)
-    curve = BoundaryCurve.from_spec(config.curve)
-    pot = PotentialSpec(V0=config.V0, alpha=config.alpha)
-    re_lo, re_hi, im_lo, im_hi = _parse_range(config.window, 4, "--window")
+def _run_resonances(args: argparse.Namespace) -> list[str]:
+    model = _model_from_flag(args.model)
+    curve = BoundaryCurve.from_spec(args.curve)
+    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+    re_lo, re_hi, im_lo, im_hi = _parse_range(args.window, 4, "--window")
     if model is Model.DELTA_PRIME:
         if curve.kind is not CurveKind.CIRCLE:
             raise ValueError(
@@ -287,76 +228,76 @@ def _run_resonances(config: RunConfig) -> list[str]:
                 "circle (exact per-mode solving); general-curve delta-prime "
                 "search is out of scope"
             )
-        n_max = int(re_hi / config.h)
-        cands = disk_oracle.mode_sweep(config.h, pot, model, n_max,
+        n_max = int(re_hi / args.h)
+        cands = disk_oracle.mode_sweep(args.h, pot, model, n_max,
                                        window=(re_lo, re_hi))
         cands = [c for c in cands if im_lo <= c.z.imag <= im_hi]
-        gap = billiards.sabine_gap(curve, config.h, pot, model).bound
+        gap = billiards.sabine_gap(curve, args.h, pot, model).bound
         rows = [
-            [c.z.real, c.z.imag, c.residual, "nan",
-             (-c.z.imag / config.h) - gap, config.quad_n, config.h]
+            # oracle roots: no boundary operator, so no sigma_min, cond or quad_N
+            [c.z.real, c.z.imag, "nan", "nan", (-c.z.imag / args.h) - gap, "nan", args.h]
             for c in cands
         ]
     else:
         window = resonance_search.SearchWindow(
             re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
-            coarse_grid=_parse_grid(config.grid, "--grid"),
-            h=config.h, quad_n=config.quad_n,
+            coarse_grid=_parse_grid(args.grid, "--grid"),
+            h=args.h, quad_n=args.quad_n,
         )
         cands = resonance_search.find_resonances(window, curve, pot)
         rows = [
             [c.z.real, c.z.imag, c.provenance.sigma_min, c.provenance.cond,
-             c.sabine_margin, config.quad_n, config.h]
+             c.sabine_margin, args.quad_n, args.h]
             for c in cands
         ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(config.out, ["re_z", "im_z", "sigma_min", "cond",
+    _write_csv(args.out, ["re_z", "im_z", "sigma_min", "cond",
                             "sabine_margin", "quad_N", "h"], rows)
-    outputs = [config.out]
-    if config.svg:
+    outputs = [args.out]
+    if args.svg:
         if curve.kind is CurveKind.CIRCLE and pot.is_constant:
-            xs = np.linspace(re_lo / config.h, re_hi / config.h, 64)
-            line = _circle_bound_line(xs, curve, pot, model, config.h)
+            xs = np.linspace(re_lo / args.h, re_hi / args.h, 64)
+            line = _circle_bound_line(xs, curve, pot, model, args.h)
         else:
-            gap = billiards.sabine_gap(curve, config.h, pot, model).bound
-            line = [(re_lo / config.h, -gap), (re_hi / config.h, -gap)]
-        emit_plot(cands, line, config.svg)
-        outputs.append(config.svg)
+            gap = billiards.sabine_gap(curve, args.h, pot, model).bound
+            line = [(re_lo / args.h, -gap), (re_hi / args.h, -gap)]
+        emit_plot(cands, line, args.svg)
+        outputs.append(args.svg)
     return outputs
 
 
-def _run_sabine_bound(config: RunConfig) -> list[str]:
-    model = _model_from_flag(config.model)
-    curve = BoundaryCurve.from_spec(config.curve)
-    pot = PotentialSpec(V0=config.V0, alpha=config.alpha)
-    grid = _parse_grid(config.phase_grid, "--phase-grid")
-    report = billiards.sabine_gap(curve, config.h, pot, model,
-                                  delta1=config.delta1,
-                                  n_average=config.n_average, grid=grid)
+def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
+    model = _model_from_flag(args.model)
+    curve = BoundaryCurve.from_spec(args.curve)
+    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+    grid = _parse_grid(args.phase_grid, "--phase-grid")
+    report = billiards.sabine_gap(curve, args.h, pot, model,
+                                  delta1=args.delta1,
+                                  n_average=args.n_average, grid=grid)
     print(f"decay-rate bound (-Im z / h units): {report.bound:.6g}")
     if model is Model.DELTA and pot.alpha < 1.0:
-        diameter_bound = billiards.sabine_diameter_bound(curve, config.h, pot)
+        diameter_bound = billiards.sabine_diameter_bound(curve, args.h, pot)
         print(f"diameter closed form:               {diameter_bound:.6g}")
     if not report.within_theory:
         print(f"note: {report.notes}")
-    _write_csv(config.out,
+    _write_csv(args.out,
                ["h", "model", "bound", "min_s", "min_xi", "grid", "converged"],
-               [[config.h, model.value, report.bound, report.minimizer.s,
+               [[args.h, model.value, report.bound, report.minimizer.s,
                  report.minimizer.xi, f"{report.grid[0]}x{report.grid[1]}",
                  str(report.converged).lower()]])
-    return [config.out]
+    return [args.out]
 
 
-def _run_opnorm_scaling(config: RunConfig) -> list[str]:
-    curve = BoundaryCurve.from_spec(config.curve)
-    lams = [float(x) for x in config.lambdas.split(",") if x]
+def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
+    curve = BoundaryCurve.from_spec(args.curve)
+    lams = [float(x) for x in args.lambdas.split(",") if x]
     if not lams:
         raise ValueError("--lambdas must list at least one frequency")
     d, _ = curve.diameter()
     rows = []
     for lam in sorted(lams):
         # resolve up to the cap; fully converged norms want ~5 nodes/wavelength
-        n_nodes = int(min(config.quad_n, max(256, 2 ** math.ceil(math.log2(5.12 * lam)))))
+        n_nodes = int(min(args.quad_n, max(256, 2 ** math.ceil(math.log2(5.12 * lam)))))
         if n_nodes % 2:
             n_nodes += 1
         grid = bie.NystromGrid.build(curve, n_nodes)
@@ -366,21 +307,21 @@ def _run_opnorm_scaling(config: RunConfig) -> list[str]:
         slope = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log([r[2] for r in rows]), 1)[0])
         print(f"least-squares slope of log norm vs log lambda: {slope:.4f}")
-    _write_csv(config.out, ["lambda", "N", "norm"], rows)
-    return [config.out]
+    _write_csv(args.out, ["lambda", "N", "norm"], rows)
+    return [args.out]
 
 
-def _run_billiards(config: RunConfig) -> list[str]:
-    curve = BoundaryCurve.from_spec(config.curve)
-    q = billiards.PhasePoint(config.s0, config.xi0)
-    segments = billiards.iterate(curve, q, config.steps)
+def _run_billiards(args: argparse.Namespace) -> list[str]:
+    curve = BoundaryCurve.from_spec(args.curve)
+    q = billiards.PhasePoint(args.s0, args.xi0)
+    segments = billiards.iterate(curve, q, args.steps)
     rows = []
     for seg in segments:
         data = curve.point_at(seg.start.s)
         rows.append([seg.start.s, seg.start.xi,
                      data.position[0], data.position[1], seg.chord_length])
-    _write_csv(config.out, ["s", "xi", "x", "y", "chord"], rows)
-    return [config.out]
+    _write_csv(args.out, ["s", "xi", "x", "y", "chord"], rows)
+    return [args.out]
 
 
 _RUNNERS = {
@@ -392,18 +333,18 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a command's resolved arguments; returns the process exit code."""
     t0 = time.perf_counter()
     try:
-        outputs = _RUNNERS[config.command](config)
+        outputs = _RUNNERS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SabineLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(config, time.perf_counter() - t0, outputs)
+    _write_manifest(args, time.perf_counter() - t0, outputs)
     return 0
 
 
@@ -470,23 +411,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replay_args(parser: argparse.ArgumentParser, config) -> argparse.Namespace:
+    """A manifest's config as its command's arguments: the command's own
+    defaults, overwritten by the values the config gives; keys the command
+    does not take are ignored.
+
+    Raises ValueError naming the offending field when config is not an
+    object, the command is missing or unknown, or a value's type does not
+    match its default's (an int is accepted where the default is a float, a
+    string or null where it is None, and bool never).
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be an object, got {type(config).__name__}")
+    command = config.get("command")
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise ValueError(f"config field 'command' must be one of {', '.join(_RUNNERS)}, "
+                         f"got {command!r}")
+    args = parser.parse_args([command])
+    for name, default in vars(args).items():
+        if name not in config:
+            continue
+        value = config[name]
+        allowed = (str, type(None)) if default is None else (type(default),)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config field {name!r} must be "
+                             f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+        setattr(args, name, float(value) if isinstance(default, float) else value)
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "from-manifest":
         try:
             with open(args.manifest) as fh:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
                 raise ValueError(f"manifest must be an object, got {type(payload).__name__}")
-            config = RunConfig.from_dict(payload.get("config"))
+            args = _replay_args(parser, payload.get("config"))
         except (OSError, ValueError) as exc:
             print(f"error: unreadable manifest {args.manifest!r}: {exc}", file=sys.stderr)
             return 2
-        return run(config)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return run(RunConfig(**values))
-
+    return run(args)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -377,10 +377,14 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
                 continue
             if lo <= cand.z.real <= hi:
                 out.append(cand)
-    out.sort(key=lambda c: (c.z.real, c.provenance.n))
-    deduped: list[ResonanceCandidate] = []
-    for cand in out:
-        if any(abs(cand.z - kept.z) < _DEDUP_TOL for kept in deduped):
-            continue
-        deduped.append(cand)
-    return deduped
+    return _dedup(out, lambda c: (c.z.real, c.provenance.n), _DEDUP_TOL)
+
+
+def _dedup(cands, key, tol: float) -> list[ResonanceCandidate]:
+    """The candidates sorted by key, each dropped when it lies within tol
+    of one kept before it."""
+    kept: list[ResonanceCandidate] = []
+    for cand in sorted(cands, key=key):
+        if not any(abs(cand.z - k.z) < tol for k in kept):
+            kept.append(cand)
+    return kept

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from .bie import NystromGrid, sigma_min_boundary_operator
 from .billiards import Model, PotentialSpec, sabine_gap
-from .disk_oracle import BieProvenance, ResonanceCandidate
+from .disk_oracle import BieProvenance, ResonanceCandidate, _dedup
 from .errors import NotAResonanceError, SabineLabError
 from .geometry import BoundaryCurve
 
@@ -197,12 +197,7 @@ def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSp
     results = [refine_seed(seed) for seed in seeds]
     accepted = [cand for cand in results
                 if cand is not None and window.contains(cand.z)]
-    accepted.sort(key=lambda c: (c.z.real, c.z.imag))
-    deduped: list[ResonanceCandidate] = []
-    for cand in accepted:
-        if any(abs(cand.z - kept.z) < _DEDUP_TOL for kept in deduped):
-            continue
-        deduped.append(cand)
+    deduped = _dedup(accepted, lambda c: (c.z.real, c.z.imag), _DEDUP_TOL)
     if compute_margins and deduped:
         bound = sabine_gap(curve, window.h, pot, Model.DELTA).bound
         deduped = [

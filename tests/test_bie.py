@@ -184,6 +184,18 @@ def test_under_resolution_warns(unit_circle):
         bie.assemble_single_layer(grid, 30.0)
 
 
+@pytest.mark.filterwarnings("ignore:stadium")
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+def test_under_resolution_warning_names_the_caller(spec):
+    # FFT, parity and dense paths alike: the warning points at this file
+    grid = bie.NystromGrid.build(BoundaryCurve.from_spec(spec), 32)
+    for call in (lambda: bie.assemble_single_layer(grid, 30.0),
+                 lambda: bie.sigma_min_boundary_operator(grid, 3.0, 0.1, POT1)):
+        with pytest.warns(UserWarning, match="under-resolved") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_stadium_quadrature_warns(stadium11):
     with pytest.warns(UserWarning, match="C"):
         grid = bie.NystromGrid.build(stadium11, 64)

@@ -237,3 +237,78 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, payload, message):
     manifest.write_text(json.dumps(payload))
     assert run_cli(["from-manifest", str(manifest)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_delta_prime_resonance_rows_have_no_operator_columns(tmp_path):
+    # oracle-delegated rows involve no boundary operator or quadrature
+    out = tmp_path / "res.csv"
+    code = run_cli(["resonances", "--model", "delta-prime", "--h", "0.05",
+                    "--alpha", "0.8", "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        assert [row[2], row[3], row[5]] == ["nan", "nan", "nan"]
+        assert math.isfinite(float(row[4])) and float(row[6]) == 0.05
+
+
+# each command's flags, as a manifest records them next to "command"
+COMMAND_FLAGS = {
+    "disk-oracle": {"h", "V0", "alpha", "model", "out", "n_max", "window", "svg"},
+    "resonances": {"curve", "h", "V0", "alpha", "model", "out", "window", "grid",
+                   "quad_n", "svg"},
+    "sabine-bound": {"curve", "h", "V0", "alpha", "model", "out", "delta1",
+                     "n_average", "phase_grid"},
+    "opnorm-scaling": {"curve", "lambdas", "quad_n", "out"},
+    "billiards": {"curve", "s0", "xi0", "steps", "out"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+@pytest.mark.parametrize("command, flags", [
+    ("disk-oracle", {}),
+    ("resonances", {"grid": "5:3"}),   # the window stays at the command's default
+    ("sabine-bound", {}),
+    ("opnorm-scaling", {"lambdas": "200"}),   # --quad-N stays at its default 1024
+    ("billiards", {}),
+])
+def test_partial_manifest_replays_with_command_defaults(tmp_path, command, flags):
+    direct, replay = tmp_path / "direct.csv", tmp_path / "replay.csv"
+    argv = [command, "--out", str(direct)]
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    assert run_cli(argv) == 0
+    recorded = json.loads((tmp_path / "direct.csv.manifest.json").read_text())["config"]
+    assert set(recorded) == {"command"} | COMMAND_FLAGS[command]
+
+    manifest = tmp_path / "partial.manifest.json"
+    manifest.write_text(json.dumps(
+        {"config": {"command": command, "out": str(replay), **flags}}))
+    assert run_cli(["from-manifest", str(manifest)]) == 0
+    assert replay.read_bytes() == direct.read_bytes()
+    replayed = json.loads((tmp_path / "replay.csv.manifest.json").read_text())["config"]
+    assert replayed == {**recorded, "out": str(replay)}
+
+
+# configs as the earlier manifest format wrote them: every field of every command
+EIGHTEEN_FIELDS = {
+    "V0": 1.0, "alpha": 0.0, "curve": "circle:r=1", "delta1": 0.05, "grid": "33:13",
+    "h": 0.1, "lambdas": "50,100,200,400,800", "model": "delta", "n_average": 8,
+    "n_max": 0, "phase_grid": "64:64", "quad_n": 256, "s0": 0.0, "steps": 16,
+    "svg": None, "window": "0.5:1.5", "xi0": 0.0,
+}
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["disk-oracle", "--h", "0.05", "--n-max", "1", "--window", "0.8:1.2"],
+     {"command": "disk-oracle", "h": 0.05, "n_max": 1, "window": "0.8:1.2"}),
+    (["billiards", "--steps", "3"], {"command": "billiards", "steps": 3}),
+])
+def test_eighteen_field_manifest_still_replays(tmp_path, argv, fields):
+    direct, replay = tmp_path / "direct.csv", tmp_path / "replay.csv"
+    assert run_cli(argv + ["--out", str(direct)]) == 0
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(json.dumps(
+        {"config": {**EIGHTEEN_FIELDS, **fields, "out": str(replay)}}))
+    assert run_cli(["from-manifest", str(manifest)]) == 0
+    assert replay.read_bytes() == direct.read_bytes()
