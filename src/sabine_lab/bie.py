@@ -220,19 +220,22 @@ def _kernel_entries(grid: NystromGrid, lam: complex, sel) -> np.ndarray:
     K = K1 * log(4 sin^2((t - tau)/2)) + K2 with K1 = -(1/4pi) J0(lambda r)
     * speed; an entry is logw * K1 + (2pi/N) (i/4) H0 * speed off the
     diagonal, where K2's limit involves the Euler-Mascheroni constant and
-    the parametrization speed.
+    the parametrization speed.  Both factors are scaled on the distinct
+    distances, with the diagonal in slot 0, before the gather.
     """
     N = grid.N
     speed = grid.curve.total_length / (2.0 * np.pi)
+    k1 = -(0.25 / np.pi) * speed
+    a = np.full(grid.dist.size + 1, k1, dtype=complex)     # J0 -> 1 on the diagonal
+    b = np.empty_like(a)
+    j0, h0 = specfun.j0_h0_arrays(lam * grid.dist)
+    a[1:] = k1 * j0
+    b[0] = (0.25j - np.euler_gamma / (2.0 * np.pi)
+            - np.log(lam * speed / 2.0) / (2.0 * np.pi)) * speed
+    b[1:] = 0.25j * speed * h0
+    b *= 2.0 * np.pi / N
     group = grid.group[sel]
-    vec_j = np.ones(grid.dist.size + 1, dtype=complex)     # J0 -> 1 on the diagonal
-    vec_h = np.zeros_like(vec_j)
-    vec_j[1:], vec_h[1:] = specfun.j0_h0_arrays(lam * grid.dist)
-    k1 = -(0.25 / np.pi) * speed * vec_j[group]
-    k2 = 0.25j * speed * vec_h[group]
-    k2[group == 0] = (0.25j - np.euler_gamma / (2.0 * np.pi)
-                      - np.log(lam * speed / 2.0) / (2.0 * np.pi)) * speed
-    return grid.logw[sel] * k1 + (2.0 * np.pi / N) * k2
+    return grid.logw[sel] * a[group] + b[group]
 
 
 def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:

@@ -10,7 +10,8 @@ Derivatives come from the neighbour identity J_n' = (J_{n-1} - J_{n+1})/2.
 
 ``j0_h0_arrays`` is the in-house vectorized order-0 pair for kernel
 assembly: the plain-double power series below |w| = 12 and the
-large-argument Hankel expansion above, which is faster than AMOS on the
+large-argument Hankel expansion above, each summed as one table of terms
+in a fixed number of whole-array calls, which is faster than AMOS on the
 kernel's point sets.
 
 Everything here is stateless and pure.
@@ -123,50 +124,37 @@ def bessel_quad(n: int, z: complex) -> BesselEval:
 # ---------------------------------------------------------------------------
 
 def _j0_h0_series(ws: np.ndarray):
-    # the harmonic companion shares the base term (-x)^k/(k!)^2 with J0
+    # J0's terms t_k = (-x)^k/(k!)^2, x = w^2/4, are running products of the
+    # ratios -x/k^2; the harmonic companion sum is -sum_k H_k t_k.  K terms
+    # suffice once the bound m^K/(K!)^2 on |t_K| (m = max|x|) is below 1e-18.
     x = ws * ws * 0.25
-    term = np.ones_like(ws)
-    j = term.copy()
-    s = np.zeros_like(ws)
-    hk = 0.0
-    for k in range(1, 46):
-        term *= x
-        term /= -(k * k)
-        j += term
-        hk += 1.0 / k
-        s -= term * hk
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(j)), 1e-300):
-            break
+    k = np.arange(1, 46)
+    small = np.cumprod(np.max(np.abs(x)) / (k * k)) < 1e-18
+    K = int(np.argmax(small)) + 1 if small.any() else k.size
+    t = np.multiply.outer(-1.0 / (k[:K] * k[:K]), x)
+    for i in range(1, K):
+        np.multiply(t[i - 1], t[i], out=t[i])
+    j = 1.0 + t.sum(axis=0)
+    s = -(np.cumsum(1.0 / k[:K]) @ t)
     y = (2.0 / np.pi) * ((np.log(ws / 2.0) + np.euler_gamma) * j + s)
     return j, j + 1j * y
 
 
 def _j0_h0_asym(wb: np.ndarray):
-    # the incoming-wave sum has terms (-1)^k times the outgoing ones
+    # Terms t_k are running products of the ratios -i c_k / w with
+    # c_k = (2k - 1)^2 / (8k).  c_k grows with k, so the terms shrink exactly
+    # while c_k < |w|: the sum stops before the first term that does not.
+    # The incoming-wave sum has terms (-1)^k times the outgoing ones.
+    k = np.arange(1, 34)
+    c = (2 * k - 1) ** 2 / (8.0 * k)
+    t = np.multiply.outer(-1j * c, 1.0 / wb)
+    for i in range(1, k.size):
+        np.multiply(t[i - 1], t[i], out=t[i])
+    t *= c[:, None] < np.abs(wb)
+    odd, even = t[0::2].sum(axis=0), t[1::2].sum(axis=0)
     pref = np.sqrt(2.0 / (np.pi * wb))
-    e1 = pref * np.exp(1j * (wb - 0.25 * np.pi))
-    e2 = pref * np.exp(-1j * (wb - 0.25 * np.pi))
-    s1 = np.ones_like(wb)
-    s2 = np.ones_like(wb)
-    t1 = np.ones_like(wb)
-    prev = np.ones(wb.shape)
-    live = np.ones(wb.shape, dtype=bool)
-    sign = 1.0
-    for k in range(1, 34):
-        fac = (-((2 * k - 1) ** 2)) / (8.0 * k)
-        t1 = t1 * (1j * fac) / wb
-        sign = -sign
-        mag = np.abs(t1)
-        live &= mag < prev
-        if not live.any():
-            break
-        s1[live] += t1[live]
-        s2[live] += sign * t1[live]
-        prev = mag
-        if np.max(mag) < 1e-17:
-            break
-    h1k = e1 * s1
-    h2k = e2 * s2
+    h1k = pref * np.exp(1j * (wb - 0.25 * np.pi)) * (1.0 + odd + even)
+    h2k = pref * np.exp(-1j * (wb - 0.25 * np.pi)) * (1.0 - odd + even)
     return 0.5 * (h1k + h2k), h1k
 
 
@@ -174,9 +162,12 @@ def j0_h0_arrays(w: np.ndarray):
     """J0(w) and H^(1)_0(w) elementwise over a complex array.
 
     Plain-double series for |w| <= 12 and the large-argument expansion
-    above; both loops stop once their terms have converged.  Intended for
-    kernel assembly where ~1e-11 relative accuracy suffices.  Entries with
-    w == 0 must be excluded by the caller.
+    above.  The series takes one term count per call, the smallest K <= 45
+    whose bound m^K/(K!)^2 (m = max|w|^2/4) on the last term is below
+    1e-18; the expansion keeps each point's terms k <= 33 while they shrink,
+    i.e. while (2k - 1)^2/(8k) < |w|.  Intended for kernel assembly where
+    ~1e-11 relative accuracy suffices.  Entries with w == 0 must be
+    excluded by the caller.
     """
     w = np.asarray(w, dtype=np.complex128)
     j0 = np.empty_like(w)

@@ -202,6 +202,18 @@ def test_stadium_quadrature_warns(stadium11):
     bie.assemble_single_layer(grid, 3.0)   # once per grid: a repeat is an error here
 
 
+@pytest.mark.filterwarnings("ignore:stadium")
+def test_entry_selections_match_the_full_matrix(unit_circle, ellipse21, stadium11):
+    # the FFT path's column and the parity path's rows are the same floats
+    # as the dense path's matrix
+    lam = (0.93 - 0.147j) / 0.1
+    for curve in (unit_circle, ellipse21, stadium11):
+        grid = bie.NystromGrid.build(curve, 256)
+        full = bie._kernel_entries(grid, lam, np.s_[:, :])
+        for sel in (np.s_[:, 0], np.s_[:grid.N // 4 + 1, :]):
+            assert np.array_equal(bie._kernel_entries(grid, lam, sel), full[sel])
+
+
 def dense_conditioning(grid, z, h, pot):
     """sigma_min and cond of I + G V from the dense SVD of the assembled matrix."""
     layer = bie.assemble_single_layer(grid, z / h)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from sabine_lab import specfun
+from sabine_lab.bie import NystromGrid
 from sabine_lab.errors import RecurrenceBudgetError, RegionError, ZeroArgumentError
 
 mp.mp.dps = 40
@@ -191,3 +192,19 @@ def test_vectorized_order0_matches_scalar():
         ev = specfun.bessel_quad(0, wi)
         assert abs(j0[i] - ev.J) < 5e-12
         assert abs(h0[i] - ev.H1) < 5e-12 * max(1.0, abs(ev.H1))
+
+
+def test_vectorized_order0_against_mpmath_at_the_switches(rng, unit_circle, ellipse21):
+    # |w| in [10, 18] crosses the series radius 12 and |w| = 16, beyond which
+    # every asymptotic term is kept; the two grids' distances at a search
+    # frequency are the arguments kernel assembly sees
+    lam = (0.93 - 0.147j) / 0.1
+    band = rng.uniform(10.0, 18.0, 400) * np.exp(1j * rng.uniform(-0.3, 0.0, 400))
+    ellipse = NystromGrid.build(ellipse21, 256).dist
+    w = np.concatenate((band, lam * NystromGrid.build(unit_circle, 256).dist,
+                        lam * rng.choice(ellipse, 200, replace=False)))
+    j0, h0 = specfun.j0_h0_arrays(w)
+    j_ref = np.array([complex(mp.besselj(0, mp.mpc(x))) for x in w])
+    h_ref = j_ref + 1j * np.array([complex(mp.bessely(0, mp.mpc(x))) for x in w])
+    assert np.max(np.abs(j0 - j_ref) / np.maximum(1.0, np.abs(j_ref))) < 1e-11
+    assert np.max(np.abs(h0 - h_ref) / np.abs(h_ref)) < 1e-11
