@@ -12,24 +12,23 @@ the kernel is evaluated on the distinct distances and gathered into the
 entries asked for.  The smallest singular value of the discretized
 I + G(lambda) V is the functional whose near-vanishing marks a resonance.
 
-The spectrum takes one of three paths, chosen in ``_singular_values`` (for
-sigma_min and the operator norm alike) from the distance index and symbol:
+``_blocks`` splits shift * I + A diag(v) into the blocks of its symmetry
+classes, whose spectra together are the operator's, by one of three paths
+chosen from the distance index and the symbol; ``_singular_values`` reads
+every singular value from them, for sigma_min and the operator norm alike:
 
 * FFT.  When every entry depends only on (i - j) mod N, as on the circle,
-  the matrix is circulant: its singular values are the moduli of the FFT of
-  its first column, so sigma_min (with a constant symbol) and the operator
-  norm need one kernel column and no dense SVD.
+  the matrix is circulant: with a constant symbol its N 1 x 1 blocks are
+  the FFT of its first column, held as one diagonal, so one kernel column
+  is assembled and no SVD taken.
 * Parity.  When N % 4 == 0 and the index is invariant under both
   reflections k -> -k and k -> N/2 - k (mod N), as on any ellipse with the
   grid starting on an axis, the matrix commutes with the four-element
-  reflection group.  The N/4 + 1 orbit representatives r = 0 .. N/4 carry
-  one row each; folding those rows with the group's four characters gives
-  four blocks (65/64/64/63 at N = 256) whose singular values together are
-  the matrix's.  sigma_min (with a reflection-symmetric symbol) and the
-  operator norm take four small SVDs.
+  reflection group.  With a reflection-symmetric symbol the N/4 + 1 rows
+  r = 0 .. N/4 fold into four blocks (65/64/64/63 at N = 256).
 * Dense.  Everything else, such as the stadium (its s = 0 lies at a cap
   junction, so its index fails the reflection test) and profiles without
-  the symmetry, takes the dense SVD of the whole matrix.
+  the symmetry, is one block: the whole matrix.
 """
 
 from __future__ import annotations
@@ -160,37 +159,6 @@ def _reflections(N: int) -> tuple[np.ndarray, np.ndarray]:
     return -k % N, (N // 2 - k) % N
 
 
-def _parity_svals(rows: np.ndarray) -> np.ndarray:
-    """Every singular value of an N x N matrix A that commutes with both
-    reflections, from its rows r = 0 .. N/4, by four block SVDs.
-
-    Row r is the representative of its orbit {r, -r, N/2 - r, N/2 + r},
-    which has n = 2 members at r = 0 and r = N/4 and 4 elsewhere.  For the
-    character chi = (e_y, e_x) of the group {1, k -> -k, k -> N/2 - k,
-    k -> N/2 + k} the block is
-
-        M_chi[k, l] = (sqrt(n_k n_l) / 4) sum_g chi(g) A[r_k, g(r_l)],
-
-    the matrix of A in the orthonormal basis of symmetrized orbit vectors.
-    r = 0 drops out of the blocks with e_y = -1 and r = N/4 out of those
-    with e_x = -1, so the blocks have N/4 + 1, N/4, N/4 and N/4 - 1 rows.
-    """
-    m, N = rows.shape
-    r = np.arange(m)
-    n = np.full(m, 4.0)
-    n[[0, -1]] = 2.0
-    scale = np.sqrt(np.outer(n, n)) / 4.0
-    a, a_y, a_x, a_xy = (rows[:, g] for g in (r, -r % N, N // 2 - r, N // 2 + r))
-    svals = []
-    for e_y in (1, -1):
-        even, odd = a + e_y * a_y, a_x + e_y * a_xy
-        for e_x in (1, -1):
-            keep = slice(int(e_y < 0), m - int(e_x < 0))
-            block = (scale * (even + e_x * odd))[keep, keep]
-            svals.append(np.linalg.svd(block, compute_uv=False))
-    return np.concatenate(svals)
-
-
 def _check_frequency(grid: NystromGrid, lam: complex) -> None:
     """Raise RegionError outside the validated region; warn when lambda
     under-resolves the grid.  Called first thing by each public routine, so
@@ -245,22 +213,49 @@ def assemble_single_layer(grid: NystromGrid, lam: complex) -> LayerMatrix:
     return LayerMatrix(entries=_kernel_entries(grid, lam, np.s_[:, :]), grid=grid)
 
 
-def _singular_values(grid: NystromGrid, entries, shift: float,
-                     sv: np.ndarray) -> np.ndarray:
-    """Every singular value of shift * I + A diag(sv), where entries(sel)
-    returns A at the index selection sel: |shift + sv[0] fft(column 0)| on a
-    circulant grid with a constant symbol, the four blocks of rows 0 .. N/4
-    on a parity grid with a symbol that both reflections keep, and the dense
-    SVD otherwise.
+def _blocks(grid: NystromGrid, entries, shift: float, sv: np.ndarray) -> list[np.ndarray]:
+    """shift * I + A diag(sv), where entries(sel) returns A at the index
+    selection sel, as the list of blocks named in the module docstring.
+
+    A parity block is the operator M in the orthonormal basis of one
+    symmetry class.  Row r = 0 .. N/4 represents its orbit {r, -r, N/2 - r,
+    N/2 + r}, which has n = 2 members at r = 0 and r = N/4 and 4 elsewhere.
+    For the character chi = (e_y, e_x) of the group {1, k -> -k,
+    k -> N/2 - k, k -> N/2 + k} the block is
+
+        M_chi[k, l] = (sqrt(n_k n_l) / 4) sum_g chi(g) M[r_k, g(r_l)].
+
+    r = 0 drops out of the blocks with e_y = -1 and r = N/4 out of those
+    with e_x = -1, so the blocks have N/4 + 1, N/4, N/4 and N/4 - 1 rows.
     """
     N = grid.N
     if grid.circulant and (sv == sv[0]).all():
-        return np.abs(shift + sv[0] * np.fft.fft(entries(np.s_[:, 0])))
+        return [shift + sv[0] * np.fft.fft(entries(np.s_[:, 0]))]
     folded = grid.parity and all(np.abs(sv[g] - sv).max() <= _SYMMETRY_RTOL * np.abs(sv).max()
                                  for g in _reflections(N))
     m = N // 4 + 1 if folded else N
     op = shift * np.eye(m, N, dtype=complex) + entries(np.s_[:m, :]) * sv[None, :]
-    return _parity_svals(op) if folded else np.linalg.svd(op, compute_uv=False)
+    if not folded:
+        return [op]
+    r = np.arange(m)
+    n = np.full(m, 4.0)
+    n[[0, -1]] = 2.0
+    scale = np.sqrt(np.outer(n, n)) / 4.0
+    a, a_y, a_x, a_xy = (op[:, g] for g in (r, -r % N, N // 2 - r, N // 2 + r))
+    blocks = []
+    for e_y in (1, -1):
+        even, odd = a + e_y * a_y, a_x + e_y * a_xy
+        for e_x in (1, -1):
+            keep = slice(int(e_y < 0), m - int(e_x < 0))
+            blocks.append((scale * (even + e_x * odd))[keep, keep])
+    return blocks
+
+
+def _singular_values(blocks: list[np.ndarray]) -> np.ndarray:
+    """Every singular value of the operator held as blocks: the moduli of a
+    diagonal, the SVD of a square block."""
+    return np.concatenate([np.abs(b) if b.ndim == 1 else np.linalg.svd(b, compute_uv=False)
+                           for b in blocks])
 
 
 def operator_norm(matrix: LayerMatrix) -> float:
@@ -270,8 +265,8 @@ def operator_norm(matrix: LayerMatrix) -> float:
     matrix D A D^-1 (D = diag(sqrt(L/N))) is the matrix itself.
     """
     grid = matrix.grid
-    return float(_singular_values(grid, matrix.entries.__getitem__, 0.0,
-                                  np.ones(grid.N)).max())
+    return float(_singular_values(_blocks(grid, matrix.entries.__getitem__, 0.0,
+                                          np.ones(grid.N))).max())
 
 
 def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
@@ -286,7 +281,7 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
         return BoundaryOperatorConditioning(sigma_min=1.0, cond=1.0)
     lam = complex(z) / h
     _check_frequency(grid, lam)
-    svals = _singular_values(grid, partial(_kernel_entries, grid, lam), 1.0, sv)
+    svals = _singular_values(_blocks(grid, partial(_kernel_entries, grid, lam), 1.0, sv))
     smin, smax = svals.min(), svals.max()
     return BoundaryOperatorConditioning(
         sigma_min=float(smin),

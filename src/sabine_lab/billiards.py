@@ -269,6 +269,8 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     n_s, n_xi = grid
     if n_s < 16 or n_xi < 16:
         raise ValueError("grid must be at least 16x16")
+    if n_average < 1:
+        raise ValueError("n_average must be at least 1")
     if model is Model.DELTA and pot.alpha >= 2.0 / 3.0:
         warnings.warn(
             "delta-barrier strength exponent alpha >= 2/3 exceeds the regime "

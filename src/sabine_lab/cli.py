@@ -183,7 +183,10 @@ def _parse_range(text: str, n_fields: int, flag: str):
     parts = text.split(":")
     if len(parts) != n_fields:
         raise ValueError(f"{flag} expects {n_fields} colon-separated fields, got {text!r}")
-    return [float(p) for p in parts]
+    values = [float(p) for p in parts]
+    if not all(lo < hi for lo, hi in zip(values[::2], values[1::2])):
+        raise ValueError(f"{flag} needs each LO below its HI, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str, flag: str):
@@ -291,9 +294,8 @@ def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
 def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
     lams = [float(x) for x in args.lambdas.split(",") if x]
-    if not lams:
-        raise ValueError("--lambdas must list at least one frequency")
-    d, _ = curve.diameter()
+    if not lams or not all(0.0 < lam < math.inf for lam in lams):
+        raise ValueError(f"--lambdas must list positive frequencies, got {args.lambdas!r}")
     rows = []
     for lam in sorted(lams):
         # resolve up to the cap; fully converged norms want ~5 nodes/wavelength
@@ -313,6 +315,8 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
 
 def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
+    if not abs(args.xi0) < 1.0:
+        raise ValueError(f"--xi0 must lie in (-1, 1), got {args.xi0}")
     q = billiards.PhasePoint(args.s0, args.xi0)
     segments = billiards.iterate(curve, q, args.steps)
     rows = []
@@ -337,6 +341,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute a command's resolved arguments; returns the process exit code."""
     t0 = time.perf_counter()
     try:
+        if "h" in args and not 0.0 < args.h < 1.0:
+            raise ValueError(f"--h must lie in (0, 1), got {args.h}")
         outputs = _RUNNERS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

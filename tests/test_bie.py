@@ -1,6 +1,7 @@
 """Single-layer Nystrom discretization and conditioning functionals."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -346,9 +347,54 @@ def test_parity_operator_norm_matches_dense_svd(ellipse21, stadium11):
         assert abs(bie.operator_norm(mat) - dense[0]) <= 1e-13 * dense[0]
         if parity:
             # the four blocks hold every singular value, not only the largest
-            folded = np.sort(bie._parity_svals(mat.entries[:N // 4 + 1]))[::-1]
+            blocks = bie._blocks(grid, mat.entries.__getitem__, 0.0, np.ones(N))
+            folded = np.sort(bie._singular_values(blocks))[::-1]
             assert folded.shape == dense.shape
             assert np.max(np.abs(folded - dense)) <= 1e-13 * dense[0]
+
+
+def block_slogdet(blocks):
+    """Sum of the blocks' log|det| and product of their det phases."""
+    phase, logabs = 1.0, 0.0
+    for b in blocks:
+        if b.ndim == 1:
+            sign, val = np.prod(b / np.abs(b)), np.log(np.abs(b)).sum()
+        else:
+            sign, val = np.linalg.slogdet(b)
+        phase, logabs = phase * sign, logabs + val
+    return phase, logabs
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+@pytest.mark.filterwarnings("ignore:stadium")
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+def test_blocks_are_a_unitary_similarity(spec):
+    # the blocks' determinants multiply to the dense one, which a conjugated
+    # or wrong-class block would break, and their singular values are the
+    # dense matrix's; the three profiles send each curve down every path its
+    # grid allows
+    curve = BoundaryCurve.from_spec(spec)
+    h = 0.1
+    profiles = (POT1, symmetric_profile(curve),
+                PotentialSpec(V0=1.0, alpha=0.0,
+                              profile=lambda s: 1.0 + 0.3 * np.cos(np.asarray(s, float))))
+    for N in (64, 256):
+        grid = bie.NystromGrid.build(curve, N)
+        for z in (0.7, 1.0 - 0.05j):
+            lam = z / h
+            full = bie._kernel_entries(grid, lam, np.s_[:, :])
+            for pot in profiles:
+                sv = np.broadcast_to(pot.symbol(grid.s, h, Model.DELTA), (N,)).astype(float)
+                blocks = bie._blocks(grid, partial(bie._kernel_entries, grid, lam), 1.0, sv)
+                assert sum(b.shape[0] for b in blocks) == N
+                dense = np.eye(N) + full * sv[None, :]
+                sign, logabs = np.linalg.slogdet(dense)
+                phase, total = block_slogdet(blocks)
+                assert abs(total - logabs) <= 1e-12
+                assert abs(phase - sign) <= 1e-12
+                svals = np.linalg.svd(dense, compute_uv=False)
+                folded = np.sort(bie._singular_values(blocks))[::-1]
+                assert np.max(np.abs(folded - svals)) <= 1e-13 * svals[0]
 
 
 def test_column_path_keeps_checks(monkeypatch, unit_circle):

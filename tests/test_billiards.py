@@ -348,6 +348,13 @@ def test_sabine_gap_grid_validation(unit_circle):
         bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, delta1=1.5)
 
 
+def test_sabine_gap_rejects_empty_average(unit_circle):
+    # no orbit length N >= 1 to take the supremum over: the bound would be -inf
+    for n_average in (0, -1):
+        with pytest.raises(ValueError, match="n_average"):
+            bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, n_average=n_average)
+
+
 def test_sabine_gap_warns_for_large_alpha(unit_circle):
     with pytest.warns(UserWarning):
         bl.sabine_gap(unit_circle, 0.1, PotentialSpec(V0=1.0, alpha=0.7),

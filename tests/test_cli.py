@@ -59,6 +59,42 @@ def test_bad_window_exits_2(tmp_path, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["0", "1"])
+@pytest.mark.parametrize("command", ["resonances", "sabine-bound", "disk-oracle"])
+def test_h_outside_unit_interval_exits_2(tmp_path, capsys, command, h):
+    # given on the command line or replayed from a manifest
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--h", h, "--out", str(out)]) == 2
+    assert "--h" in capsys.readouterr().err
+    manifest = tmp_path / "x.manifest.json"
+    manifest.write_text(json.dumps({"config": {"command": command, "h": float(h),
+                                               "out": str(out)}}))
+    assert run_cli(["from-manifest", str(manifest)]) == 2
+    assert "--h" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lambdas", ["0", "50,-100", "nan"])
+def test_lambda_not_positive_exits_2(tmp_path, capsys, lambdas):
+    code = run_cli(["opnorm-scaling", "--lambdas", lambdas, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--lambdas" in capsys.readouterr().err
+
+
+def test_glancing_start_exits_2(tmp_path, capsys):
+    code = run_cli(["billiards", "--xi0", "1.0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--xi0" in capsys.readouterr().err
+
+
+def test_decreasing_oracle_window_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run_cli(["disk-oracle", "--window", "1.1:0.9", "--out", str(out)])
+    assert code == 2
+    assert "--window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_delta_prime_resonances_requires_circle(tmp_path, capsys):
     code = run_cli(["resonances", "--curve", "ellipse:a=2,b=1",
                     "--model", "delta-prime", "--out", str(tmp_path / "x.csv")])
