@@ -264,6 +264,8 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     doubling at the 1% level.  Orbits escaping the profile support are
     capped at escape_cap_factor * log(1/h).
     """
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"h must lie in (0, 1), got {h}")
     if not (0.0 < delta1 < 1.0):
         raise ValueError("delta1 must lie in (0, 1)")
     n_s, n_xi = grid

@@ -189,16 +189,21 @@ def _parse_range(text: str, n_fields: int, flag: str):
     return values
 
 
-def _parse_grid(text: str, flag: str):
+def _parse_grid(text: str, flag: str, least: int):
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"{flag} expects NX:NY, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    grid = int(parts[0]), int(parts[1])
+    if min(grid) < least:
+        raise ValueError(f"{flag} needs at least {least}:{least}, got {text!r}")
+    return grid
 
 
 def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
     model = _model_from_flag(args.model)
     lo, hi = _parse_range(args.window, 2, "--window")
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
     pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
     candidates = disk_oracle.mode_sweep(args.h, pot, model, args.n_max,
                                         window=(lo, hi))
@@ -224,11 +229,14 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
     pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
     re_lo, re_hi, im_lo, im_hi = _parse_range(args.window, 4, "--window")
+    if args.quad_n < 16 or args.quad_n % 2:
+        raise ValueError(f"--quad-N must be even and at least 16, got {args.quad_n}")
     if model is Model.DELTA_PRIME:
-        if curve.kind is not CurveKind.CIRCLE:
+        if curve.kind is not CurveKind.CIRCLE or curve.params["radius"] != 1.0:
             raise ValueError(
                 "--model delta-prime supports command 'resonances' only on the "
-                "circle (exact per-mode solving); general-curve delta-prime "
+                "unit circle (exact per-mode solving), so --curve must be "
+                f"circle:r=1, got {args.curve!r}; general-curve delta-prime "
                 "search is out of scope"
             )
         n_max = int(re_hi / args.h)
@@ -244,7 +252,7 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
     else:
         window = resonance_search.SearchWindow(
             re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
-            coarse_grid=_parse_grid(args.grid, "--grid"),
+            coarse_grid=_parse_grid(args.grid, "--grid", 1),
             h=args.h, quad_n=args.quad_n,
         )
         cands = resonance_search.find_resonances(window, curve, pot)
@@ -273,7 +281,7 @@ def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
     model = _model_from_flag(args.model)
     curve = BoundaryCurve.from_spec(args.curve)
     pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
-    grid = _parse_grid(args.phase_grid, "--phase-grid")
+    grid = _parse_grid(args.phase_grid, "--phase-grid", 16)
     report = billiards.sabine_gap(curve, args.h, pot, model,
                                   delta1=args.delta1,
                                   n_average=args.n_average, grid=grid)
@@ -296,6 +304,8 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
     lams = [float(x) for x in args.lambdas.split(",") if x]
     if not lams or not all(0.0 < lam < math.inf for lam in lams):
         raise ValueError(f"--lambdas must list positive frequencies, got {args.lambdas!r}")
+    if args.quad_n < 16:
+        raise ValueError(f"--quad-N must be at least 16, got {args.quad_n}")
     rows = []
     for lam in sorted(lams):
         # resolve up to the cap; fully converged norms want ~5 nodes/wavelength
@@ -317,6 +327,8 @@ def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
     if not abs(args.xi0) < 1.0:
         raise ValueError(f"--xi0 must lie in (-1, 1), got {args.xi0}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     q = billiards.PhasePoint(args.s0, args.xi0)
     segments = billiards.iterate(curve, q, args.steps)
     rows = []

@@ -4,10 +4,11 @@ Separation of variables reduces the disk problem to one transcendental
 equation per angular mode n, built from products of Bessel and Hankel
 functions at argument z/h.  Enumerating n >= 0 is complete: the equations
 involve n only through J_n*H1_n products, which modes n and -n share.
-Roots are located from lattice initial guesses (phase-corrected for higher
-modes), pulled in by a damped Newton pre-pass when needed, and finished by
-a certified contraction iteration that guarantees local uniqueness.  Each
-step takes F, F' and F'' from one Bessel evaluation at its point.
+Each root is reached by plain Newton from a lattice initial guess
+(phase-corrected for higher modes) and must stay in that guess's lattice
+cell; one contraction certificate at the root then proves it is the only
+root within the certified radius.  Each step takes F, F' and F'' from one
+Bessel evaluation at its point.
 Serves as ground truth for the boundary-integral search.
 """
 
@@ -21,28 +22,26 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import specfun
 from .billiards import Model, PotentialSpec
-from .errors import (
-    NewtonConditionError,
-    NewtonConvergenceError,
-    RegionError,
-    SabineLabError,
-    WindowMissError,
-)
+from .errors import NewtonConditionError, NewtonConvergenceError, SabineLabError, WindowMissError
 
 logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
 _MAX_EPS_B = 0.9             # cap on eps*b in the contraction condition
-_CONTRACT_MAX_ITER = 100
+_MAX_ITER = 100
 DEFAULT_WINDOW = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
 class OracleProvenance:
+    """Mode (n, k) of a disk root and its certificate from ``NewtonResult``."""
+
     n: int
     k: int
     model: Model
+    contraction: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class NewtonResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# certified contraction solve
+# Newton solve and its certificate
 # ---------------------------------------------------------------------------
 
 def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
@@ -85,65 +84,20 @@ def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
     g(z) = z - F(z)/F'(z0), which is a contraction with factor d*eps/b.
     """
     if not (a + d * eps * eps < eps * b < _MAX_EPS_B):
-        raise NewtonConditionError(
-            f"contraction condition failed: a={a:.3e}, b={b:.3e}, d={d:.3e}, "
-            f"eps={eps:.3e} (need a + d*eps^2 < eps*b < {_MAX_EPS_B})"
-        )
-    return _contract(f, z0, f(z0), eps, a, b, d)[0]
-
-
-def _contract(f, z0: complex, f0, eps: float, a: float, b: float, d: float):
-    """The iteration of ``newton_contract`` from f0 = f(z0), once its
-    condition holds; returns the result and f at the root."""
-    fz, dz0 = f0[0], f0[1]
-    tol = 1e-12 * b * eps
+        raise NewtonConditionError(f"contraction condition failed: a={a:.3e}, b={b:.3e}, "
+                                   f"d={d:.3e}, eps={eps:.3e} (need a + d*eps^2 < eps*b "
+                                   f"< {_MAX_EPS_B})")
+    fz, dz0, _ = f(z0)
     z = z0
-    for it in range(1, _CONTRACT_MAX_ITER + 1):
-        z_next = z - fz / dz0
-        step = abs(z_next - z)
-        z = z_next
-        f_root = f(z)
-        fz = f_root[0]
-        if abs(fz) < tol or step < 1e-17 * max(abs(z), 1.0):
-            return NewtonResult(root=z, residual=abs(fz),
-                                contraction=d * eps / b, iterations=it), f_root
-    raise NewtonConvergenceError(
-        f"no convergence after {_CONTRACT_MAX_ITER} iterations; final |f| = "
-        f"{abs(fz):.3e} (bound estimates a={a:.3e}, b={b:.3e}, d={d:.3e} may be wrong)"
-    )
-
-
-def _damped_newton(f, z, fz, step_cap: float):
-    """Plain Newton with |F|-monotone step damping; best-effort refiner.
-
-    Starts from fz = f(z) and returns the last point with f there.  Steps
-    are capped at step_cap (roots of the mode equations are lattice spaced,
-    so larger moves would leave the basin) and trial points outside the
-    validated region count as non-improving.
-    """
-    for _ in range(15):
-        if fz[1] == 0:
-            break
-        step = fz[0] / fz[1]
-        if abs(step) > step_cap:
-            step *= step_cap / abs(step)
-        lam = 1.0
-        for _ in range(30):
-            z_try = z - lam * step
-            try:
-                f_try = f(z_try)
-            except RegionError:
-                lam *= 0.5
-                continue
-            if abs(f_try[0]) < abs(fz[0]):
-                break
-            lam *= 0.5
-        else:
-            break
-        z, fz = z_try, f_try
-        if abs(fz[0]) < 1e-14:
-            break
-    return z, fz
+    for it in range(1, _MAX_ITER + 1):
+        step = fz / dz0
+        z -= step
+        fz = f(z)[0]
+        if abs(fz) < 1e-12 * b * eps or abs(step) < 1e-17 * max(abs(z), 1.0):
+            return NewtonResult(z, abs(fz), d * eps / b, it)
+    raise NewtonConvergenceError(f"no convergence after {_MAX_ITER} iterations; final |f| = "
+                                 f"{abs(fz):.3e} (bound estimates a={a:.3e}, b={b:.3e}, "
+                                 f"d={d:.3e} may be wrong)")
 
 
 def _second_derivative_bound(f, center: complex, eps: float) -> float:
@@ -153,39 +107,32 @@ def _second_derivative_bound(f, center: complex, eps: float) -> float:
 
 
 def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
-    """Certification with radius halving, rescued by a damped pre-pass.
+    """Newton from the guess z0, then one contraction certificate at its root.
 
-    Each point's (F, F', F'') is handed on to the next step that needs it,
-    so no step evaluates f again where another already has.
+    eps0 is a quarter of the lattice spacing of the mode's roots.  Newton
+    takes fresh derivatives at every iterate and must stay in the guess's
+    lattice cell |z - z0| <= 4 eps0: a path that leaves it would return a
+    neighbouring root, so it raises instead.  The certificate radius eps
+    puts eps*b at 0.45, half the cap of ``newton_contract``, or is eps0 if
+    that is smaller.  ``iterations`` counts the Newton steps and the
+    certificate's contraction steps.
     """
-
-    def attempt(center, fc, eps):
-        a, b = abs(fc[0]), abs(fc[1])
-        for _ in range(7):
-            d = _second_derivative_bound(f, center, eps)
-            if a + d * eps * eps < eps * b < _MAX_EPS_B:
-                return _contract(f, center, fc, eps, a, b, d)
-            eps *= 0.5
-        raise NewtonConditionError(
-            f"contraction condition failed after 6 radius halvings at {center}"
-        )
-
-    f0 = f(z0)
-    try:
-        result, f_root = attempt(z0, f0, eps0)
-    except (NewtonConditionError, NewtonConvergenceError):
-        result, f_root = attempt(*_damped_newton(f, z0, f0, 2.0 * eps0),
-                                 eps0 / 4.0)
-    # polish the certified root with fresh-derivative steps
-    z = result.root
-    fz, dfz, _ = f_root
-    for _ in range(3):
-        if abs(fz) < 1e-14 or dfz == 0:
-            break
-        z = z - fz / dfz
+    z, (fz, dfz, _) = z0, f(z0)
+    steps = 0
+    while abs(fz) >= 1e-14:
+        if dfz == 0 or steps == _MAX_ITER:
+            raise NewtonConvergenceError(f"Newton from {z0} stalled at {z} after {steps} steps")
+        step = fz / dfz
+        z -= step
+        steps += 1
+        if abs(z - z0) > 4.0 * eps0:
+            raise NewtonConvergenceError(f"Newton from {z0} left its lattice cell at {z}")
         fz, dfz, _ = f(z)
-    return NewtonResult(root=z, residual=abs(fz),
-                        contraction=result.contraction, iterations=result.iterations)
+        if abs(step) < 1e-15 * abs(z):
+            break
+    eps = min(eps0, 0.5 * _MAX_EPS_B / abs(dfz))
+    cert = newton_contract(f, z, eps, abs(fz), abs(dfz), _second_derivative_bound(f, z, eps))
+    return cert._replace(iterations=steps + cert.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +187,7 @@ def mode_equation(n: int, h: float, pot: PotentialSpec, model: Model):
 
 def _phase(lam: float, n: int) -> float:
     """Oscillation phase of J_n H1_n along the real axis (Debye regime)."""
-    root = math.sqrt(lam * lam - n * n)
-    if n == 0:
-        return 2.0 * lam - 0.5 * math.pi
-    return 2.0 * root - 2.0 * n * math.acos(n / lam) - 0.5 * math.pi
+    return 2.0 * math.sqrt(lam * lam - n * n) - 2.0 * n * math.acos(n / lam) - 0.5 * math.pi
 
 
 def _anchor_lambda(n: int, k: int) -> float:
@@ -258,14 +202,10 @@ def _anchor_lambda(n: int, k: int) -> float:
         return math.pi * (4 * k + 1) / 4.0
     lam = max(math.pi * (4 * k + 2 * n + 1) / 4.0, n * 1.02 + 0.5)
     for _ in range(60):
-        g = _phase(lam, n) - target
-        gp = 2.0 * math.sqrt(lam * lam - n * n) / lam
-        step = g / gp
-        lam_new = max(lam - step, n * (1.0 + 1e-9))
-        if abs(lam_new - lam) < 1e-14 * lam:
-            lam = lam_new
+        step = (_phase(lam, n) - target) / (2.0 * math.sqrt(lam * lam - n * n) / lam)
+        lam, lam_old = max(lam - step, n * (1.0 + 1e-9)), lam
+        if abs(lam - lam_old) < 1e-14 * lam_old:
             break
-        lam = lam_new
     return lam
 
 
@@ -291,10 +231,8 @@ def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
     lo, hi = window
     lam = _anchor_lambda(n, k)
     if not (lo <= h * lam <= hi):
-        raise WindowMissError(
-            f"mode (n={n}, k={k}) anchor Re z = {h * lam:.6f} outside window "
-            f"[{lo}, {hi}]"
-        )
+        raise WindowMissError(f"mode (n={n}, k={k}) anchor Re z = {h * lam:.6f} "
+                              f"outside window [{lo}, {hi}]")
     if lam <= n * (1.0 + 1e-9):
         raise WindowMissError(f"mode (n={n}, k={k}) anchors at glancing")
     z0 = mode_guess(n, lam, h, pot, model)
@@ -302,17 +240,13 @@ def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
     result = _certified_solve(f, z0, eps0=math.pi * h / 4.0)
     z = result.root
     if result.residual >= _RESIDUAL_TOL:
-        raise NewtonConvergenceError(
-            f"mode (n={n}, k={k}) residual {result.residual:.3e} above {_RESIDUAL_TOL}"
-        )
+        raise NewtonConvergenceError(f"mode (n={n}, k={k}) residual {result.residual:.3e} "
+                                     f"above {_RESIDUAL_TOL}")
     if z.imag >= 0.0:
-        raise NewtonConvergenceError(
-            f"mode (n={n}, k={k}) converged to nonnegative Im z = {z.imag:.3e}"
-        )
-    return ResonanceCandidate(
-        z=z, h=h, residual=result.residual,
-        provenance=OracleProvenance(n=n, k=k, model=model),
-    )
+        raise NewtonConvergenceError(f"mode (n={n}, k={k}) converged to nonnegative "
+                                     f"Im z = {z.imag:.3e}")
+    return ResonanceCandidate(z=z, h=h, residual=result.residual, provenance=OracleProvenance(
+        n=n, k=k, model=model, contraction=result.contraction, iterations=result.iterations))
 
 
 def delta_resonance(n: int, k: int, h: float, pot: PotentialSpec,
@@ -354,6 +288,8 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     further for higher modes), then filtered by the solved root's real part.
     Per-mode failures are logged and skipped, never fatal.
     """
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"h must lie in (0, 1), got {h}")
     lo, hi = window
     if hi <= lo:
         return []

@@ -46,6 +46,8 @@ class SearchWindow:
     quad_n: int
 
     def __post_init__(self):
+        if not 0.0 < self.h < 1.0:
+            raise ValueError(f"h must lie in (0, 1), got {self.h}")
         re_lo, re_hi = self.re_range
         im_lo, im_hi = self.im_range
         if not (re_lo < re_hi):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from sabine_lab import billiards as bl
 from sabine_lab.billiards import Model, PhasePoint, PotentialSpec
+from sabine_lab.disk_oracle import mode_sweep
 from sabine_lab.errors import (
     GlancingInputError,
     NoValidDiameterPairError,
     OrbitError,
 )
 from sabine_lab.geometry import BoundaryCurve
+from sabine_lab.resonance_search import SearchWindow
 
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
@@ -353,6 +355,20 @@ def test_sabine_gap_rejects_empty_average(unit_circle):
     for n_average in (0, -1):
         with pytest.raises(ValueError, match="n_average"):
             bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, n_average=n_average)
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("entry", ["sabine_gap", "SearchWindow", "mode_sweep"])
+def test_library_rejects_h_outside_unit_interval(unit_circle, entry, h):
+    # h = 0 would divide by zero in all three, and h >= 1 makes log(1/h) <= 0
+    calls = {
+        "sabine_gap": lambda: bl.sabine_gap(unit_circle, h, POT1, Model.DELTA),
+        "SearchWindow": lambda: SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.02),
+                                             coarse_grid=(5, 4), h=h, quad_n=64),
+        "mode_sweep": lambda: mode_sweep(h, POT1, Model.DELTA, 0, window=(0.9, 1.1)),
+    }
+    with pytest.raises(ValueError, match=r"^h must lie in \(0, 1\)"):
+        calls[entry]()
 
 
 def test_sabine_gap_warns_for_large_alpha(unit_circle):

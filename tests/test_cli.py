@@ -102,6 +102,32 @@ def test_delta_prime_resonances_requires_circle(tmp_path, capsys):
     assert "delta-prime" in capsys.readouterr().err
 
 
+def test_delta_prime_resonances_requires_unit_circle(tmp_path, capsys):
+    # the oracle solves the unit disk only: another radius would get its roots
+    out = tmp_path / "x.csv"
+    code = run_cli(["resonances", "--curve", "circle:r=2", "--model", "delta-prime",
+                    "--alpha", "0.9", "--out", str(out)])
+    assert code == 2
+    assert "--curve" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["billiards", "--steps", "0"], "--steps"),
+    (["resonances", "--quad-N", "10"], "--quad-N"),
+    (["resonances", "--quad-N", "65"], "--quad-N"),
+    (["resonances", "--grid", "0:4"], "--grid"),
+    (["sabine-bound", "--phase-grid", "8:8"], "--phase-grid"),
+    (["disk-oracle", "--n-max", "-1"], "--n-max"),
+    (["opnorm-scaling", "--quad-N", "10"], "--quad-N"),
+])
+def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha, h", [(0.9, 0.02), (0.8, 0.05)])
 def test_delta_prime_resonances_match_mode_sweep(tmp_path, alpha, h):
     # modes whose roots lie in the upper part of the window are tried too:

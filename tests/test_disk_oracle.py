@@ -1,5 +1,6 @@
 """Per-mode transcendental resonances on the unit disk."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -8,7 +9,8 @@ import pytest
 
 from sabine_lab import disk_oracle as do
 from sabine_lab.billiards import Model, PotentialSpec
-from sabine_lab.errors import NewtonConditionError, SabineLabError, WindowMissError
+from sabine_lab.errors import (NewtonConditionError, NewtonConvergenceError, SabineLabError,
+                               WindowMissError)
 
 mp.mp.dps = 40
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
@@ -73,6 +75,17 @@ def test_newton_contract_condition_guard():
         do.newton_contract(lambda z: (z, 1.0, 0.0), 0j, 0.1, a=5.0, b=1.0, d=1.0)
 
 
+def test_newton_leaving_its_cell_raises():
+    # the roots of sin are pi apart, so eps0 = pi/4 makes the cell |z - z0| <= pi;
+    # from 1.4 the first Newton step jumps by tan(1.4) = 5.8 toward another root
+    def sine(z):
+        return cmath.sin(z), cmath.cos(z), -cmath.sin(z)
+
+    with pytest.raises(NewtonConvergenceError, match="lattice cell"):
+        do._certified_solve(sine, 1.4 + 0j, eps0=math.pi / 4)
+    assert abs(do._certified_solve(sine, 0.3 + 0j, eps0=math.pi / 4).root) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # mode equations
 # ---------------------------------------------------------------------------
@@ -96,13 +109,23 @@ def test_mode_equation_derivatives_match_mpmath(model, alpha, n, monkeypatch):
 
 def test_single_root_bessel_work(monkeypatch):
     # exact work counts, which unlike wall-clock budgets do not depend on
-    # host load
+    # host load: Newton, then 8 second-derivative samples and 2 evaluations
+    # for the certificate
     calls = count_bessel_quad(monkeypatch)
     do.delta_resonance(0, 6, 0.05, POT1)
-    assert calls[0] <= 39
+    assert calls[0] <= 15
     calls[0] = 0
     do.delta_prime_resonance(0, 32, 0.01, PotentialSpec(V0=1.0, alpha=0.9))
-    assert calls[0] <= 35
+    assert calls[0] <= 15
+
+
+@pytest.mark.parametrize("n, root", [(172, 0.904261736747844 - 0.037718081591802j),
+                                     (190, 0.995882526097658 - 0.039396458225169j),
+                                     (210, 1.097574643032375 - 0.041156168413443j)])
+def test_far_guess_within_one_lattice_cell(n, root):
+    # these k = 0 guesses sit 2.3-2.8 eps0 from their roots, inside the
+    # one-spacing reach of the Newton solve
+    assert abs(do.delta_resonance(n, 0, 0.005, POT1).z - root) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +241,15 @@ def test_mode_sweep_n10_family_respects_diameter_bound():
     line = sabine_diameter_bound(BoundaryCurve.circle(1.0), h, POT1)
     for c in tens:
         assert -c.z.imag / h <= line + 0.1
+
+
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA_PRIME, 0.9)])
+def test_sweep_roots_carry_their_certificate(model, alpha):
+    out = do.mode_sweep(0.02, PotentialSpec(V0=1.0, alpha=alpha), model, 40, window=(0.9, 1.1))
+    assert len(out) > 20
+    for c in out:
+        assert 0.0 < c.provenance.contraction < 1.0
+        assert c.provenance.iterations >= 1
 
 
 def test_mode_sweep_collects_failures_quietly(caplog):
