@@ -3,7 +3,8 @@
 Implements the billiard ball map and the decay-rate (resonance-free region)
 bounds: the log-average of the plane-wave reflectivity of a thin delta /
 delta-prime barrier over the mean chord length along orbits, optimized over
-a phase-space grid (``sabine_gap``), and the diameter-orbit closed form.
+a phase-space grid and checked in the same pass on the finer grid that
+contains it (``sabine_gap``), and the diameter-orbit closed form.
 
 Phase points are reported in arclength s, but the map steps in each curve's
 native parameter u (see geometry), so the ellipse's arclength map runs once
@@ -68,8 +69,10 @@ class PotentialSpec:
     profile: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.V0 <= 0:
-            raise ValueError("V0 must be positive")
+        if not 0.0 < self.V0 < math.inf:
+            raise ValueError(f"V0 must be finite and positive, got {self.V0}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     @property
     def is_constant(self) -> bool:
@@ -215,43 +218,22 @@ def _log_reflectivity_sq(xi, sv, h: float, model: Model):
 # decay-rate bounds
 # ---------------------------------------------------------------------------
 
-def _grid_bound(curve, h, pot, model, delta1, n_average, n_s, n_xi, cap):
-    """min over the phase grid, max over averaging depth, of -r_N / l_N."""
-    s = np.linspace(0.0, curve.total_length, n_s, endpoint=False)
-    xi = np.linspace(-(1.0 - delta1), 1.0 - delta1, n_xi)
-    S, XI = np.meshgrid(s, xi, indexing="ij")
-    frame = curve._frame(curve._u_of_s(S.ravel()))
-    cur_xi = XI.ravel()
-    m = cur_xi.size
-    cum_chord = np.zeros(m)
-    cum_logr = np.zeros(m)
-    best_value = -np.inf
-    best_idx = 0
-    best_n = 1
-    capped = False
-    for depth in range(1, n_average + 1):
-        u, frame, cur_xi, travel = _step(curve, frame, cur_xi)
-        cum_chord += travel
-        # only a non-constant profile needs the landing arclengths
-        sv = pot.symbol(u if pot.is_constant else curve._s_of_u(u), h, model)
-        cum_logr += _log_reflectivity_sq(cur_xi, sv, h, model)
-        with np.errstate(invalid="ignore"):
-            values = -cum_logr / (2.0 * cum_chord)
-        finite = np.isfinite(values)
-        if finite.any():
-            idx = int(np.argmin(np.where(finite, values, np.inf)))
-            depth_value = float(values[idx])
-        else:
-            # every orbit has escaped the profile support at this depth
-            idx = 0
-            depth_value = cap
-            capped = True
-        if depth_value > best_value:
-            best_value = depth_value
-            best_idx = idx
-            best_n = depth
-    minimizer = PhasePoint(float(S.ravel()[best_idx]), float(XI.ravel()[best_idx]))
-    return best_value, minimizer, best_n, capped
+def _sup_inf(values, cap):
+    """sup over depth of the inf over the grid of values (n_average, n_s, n_xi).
+
+    A non-finite value is an orbit that escaped the profile support; a depth
+    where every orbit escaped takes the cap.  Returns the bound, its depth
+    index, the grid index of its minimizer and whether any depth escaped.
+    """
+    flat = values.reshape(len(values), -1)
+    masked = np.where(np.isfinite(flat), flat, np.inf)
+    idx = masked.argmin(axis=1)
+    per_depth = masked[np.arange(len(flat)), idx]
+    escaped = np.isinf(per_depth)
+    per_depth = np.where(escaped, cap, per_depth)
+    best = int(per_depth.argmax())
+    return (float(per_depth[best]), best, np.unravel_index(idx[best], values.shape[1:]),
+            bool(escaped.any()))
 
 
 def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
@@ -260,9 +242,11 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     """Decay-rate bound sup_{N<=N1} inf_grid of -r_N/l_N, in -Im z/h units.
 
     The grid is uniform in (s, xi) over the coball bundle shrunk by the
-    glancing margin delta1; the convergence flag compares against one grid
-    doubling at the 1% level.  Orbits escaping the profile support are
-    capped at escape_cap_factor * log(1/h).
+    glancing margin delta1.  The convergence flag compares, at the 1% level,
+    with the check grid of half the spacing in s and xi (2 n_s by 2m - 1 for
+    m sampled xi values); the sampled grid is its even-indexed points, so one
+    pass steps both.  Orbits escaping the profile support are capped at
+    escape_cap_factor * log(1/h).
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
@@ -282,12 +266,28 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     cap = escape_cap_factor * math.log(1.0 / h)
     # odd transversal counts so the center xi = 0 is always sampled; the
     # minimizing orbit of a convex table is typically the diameter orbit there
-    sampled = (n_s, n_xi | 1)
-    bound, minimizer, best_n, capped = _grid_bound(
-        curve, h, pot, model, delta1, n_average, *sampled, cap)
-    bound2, _, _, capped2 = _grid_bound(
-        curve, h, pot, model, delta1, n_average, 2 * n_s, (2 * n_xi) | 1, cap)
-    if capped and capped2 and bound >= cap and bound2 >= cap:
+    m = n_xi | 1
+    s = np.linspace(0.0, curve.total_length, 2 * n_s, endpoint=False)
+    xi = np.linspace(-(1.0 - delta1), 1.0 - delta1, 2 * m - 1)
+    S, XI = np.meshgrid(s, xi, indexing="ij")
+    frame = curve._frame(curve._u_of_s(S.ravel()))
+    cur_xi = XI.ravel()
+    cum_chord = np.zeros(cur_xi.size)
+    cum_logr = np.zeros(cur_xi.size)
+    values = np.empty((n_average,) + S.shape)
+    for depth in range(n_average):
+        u, frame, cur_xi, travel = _step(curve, frame, cur_xi)
+        cum_chord += travel
+        # only a non-constant profile needs the landing arclengths
+        sv = pot.symbol(u if pot.is_constant else curve._s_of_u(u), h, model)
+        cum_logr += _log_reflectivity_sq(cur_xi, sv, h, model)
+        with np.errstate(invalid="ignore"):
+            values[depth] = (-cum_logr / (2.0 * cum_chord)).reshape(S.shape)
+    bound, depth, (i, j), capped = _sup_inf(values[:, ::2, ::2], cap)
+    bound2, _, _, capped2 = _sup_inf(values, cap)
+    # the grids nest, so a check grid that escaped to the cap has the
+    # sampled grid escaped with it
+    if capped2 and bound2 >= cap:
         raise AllOrbitsEscapeError(
             "every grid orbit meets the zero set of the potential profile; "
             f"the decay-rate bound is +inf (reported cap {cap:.6g})"
@@ -298,9 +298,9 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
         "cover it and this bound is reported as outside-theorem"
     )
     return SabineReport(
-        bound=bound, minimizer=minimizer, model=model, h=h, delta1=delta1,
-        n_average=best_n, grid=sampled, converged=converged, capped=capped,
-        within_theory=curve.is_strictly_convex, notes=notes,
+        bound=bound, minimizer=PhasePoint(float(s[2 * i]), float(xi[2 * j])), model=model,
+        h=h, delta1=delta1, n_average=depth + 1, grid=(n_s, m), converged=converged,
+        capped=capped, within_theory=curve.is_strictly_convex, notes=notes,
     )
 
 

@@ -199,12 +199,25 @@ def _parse_grid(text: str, flag: str, least: int):
     return grid
 
 
+def _potential(args: argparse.Namespace, oracle_model=None) -> PotentialSpec:
+    """The constant barrier of --V0 and --alpha, with alpha in the disk
+    oracle's range when it solves oracle_model; a rejected value is
+    reported under its flag."""
+    try:
+        pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+        if oracle_model is not None:
+            disk_oracle.check_alpha(pot, oracle_model)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
+    return pot
+
+
 def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
     model = _model_from_flag(args.model)
     lo, hi = _parse_range(args.window, 2, "--window")
     if args.n_max < 0:
         raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
-    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+    pot = _potential(args, model)
     candidates = disk_oracle.mode_sweep(args.h, pot, model, args.n_max,
                                         window=(lo, hi))
     rows = [
@@ -227,7 +240,6 @@ def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
 def _run_resonances(args: argparse.Namespace) -> list[str]:
     model = _model_from_flag(args.model)
     curve = BoundaryCurve.from_spec(args.curve)
-    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
     re_lo, re_hi, im_lo, im_hi = _parse_range(args.window, 4, "--window")
     if args.quad_n < 16 or args.quad_n % 2:
         raise ValueError(f"--quad-N must be even and at least 16, got {args.quad_n}")
@@ -239,6 +251,7 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
                 f"circle:r=1, got {args.curve!r}; general-curve delta-prime "
                 "search is out of scope"
             )
+        pot = _potential(args, model)
         n_max = int(re_hi / args.h)
         cands = disk_oracle.mode_sweep(args.h, pot, model, n_max,
                                        window=(re_lo, re_hi))
@@ -250,6 +263,7 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
             for c in cands
         ]
     else:
+        pot = _potential(args)
         window = resonance_search.SearchWindow(
             re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
             coarse_grid=_parse_grid(args.grid, "--grid", 1),
@@ -280,8 +294,12 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
 def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
     model = _model_from_flag(args.model)
     curve = BoundaryCurve.from_spec(args.curve)
-    pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
+    pot = _potential(args)
     grid = _parse_grid(args.phase_grid, "--phase-grid", 16)
+    if not 0.0 < args.delta1 < 1.0:
+        raise ValueError(f"--delta1 must lie in (0, 1), got {args.delta1}")
+    if args.n_average < 1:
+        raise ValueError(f"--n-average must be at least 1, got {args.n_average}")
     report = billiards.sabine_gap(curve, args.h, pot, model,
                                   delta1=args.delta1,
                                   n_average=args.n_average, grid=grid)
@@ -325,6 +343,8 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
 
 def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
+    if not math.isfinite(args.s0):
+        raise ValueError(f"--s0 must be finite, got {args.s0}")
     if not abs(args.xi0) < 1.0:
         raise ValueError(f"--xi0 must lie in (-1, 1), got {args.xi0}")
     if args.steps < 1:

@@ -249,11 +249,19 @@ def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
         n=n, k=k, model=model, contraction=result.contraction, iterations=result.iterations))
 
 
+def check_alpha(pot: PotentialSpec, model: Model) -> None:
+    """The oracle's range of the strength exponent: alpha < 1 for the delta
+    barrier, alpha > 1/2 for the delta-prime barrier."""
+    if model is Model.DELTA and not pot.alpha < 1.0:
+        raise ValueError(f"alpha must lie below 1 for the delta oracle, got {pot.alpha}")
+    if model is Model.DELTA_PRIME and not pot.alpha > 0.5:
+        raise ValueError(f"alpha must exceed 1/2 for the delta-prime oracle, got {pot.alpha}")
+
+
 def delta_resonance(n: int, k: int, h: float, pot: PotentialSpec,
                     window=DEFAULT_WINDOW) -> ResonanceCandidate:
     """Resonance of the delta barrier for mode (n, k); requires alpha < 1."""
-    if pot.alpha >= 1.0:
-        raise ValueError("delta-barrier oracle requires alpha < 1")
+    check_alpha(pot, Model.DELTA)
     return _solve_mode(n, k, h, pot, Model.DELTA, window)
 
 
@@ -270,8 +278,7 @@ def delta_prime_resonance(n: int, k: int, h: float, pot: PotentialSpec,
     ratio to that limit is about log(1+y)/y with y = 4 h^(2-2 alpha) / V0^2,
     so at alpha near 1 it approaches 1 only slowly.
     """
-    if pot.alpha <= 0.5:
-        raise ValueError("delta-prime oracle requires alpha > 1/2")
+    check_alpha(pot, Model.DELTA_PRIME)
     return _solve_mode(n, k, h, pot, Model.DELTA_PRIME, window)
 
 
@@ -286,10 +293,12 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     Lattice anchors are enumerated over the window widened by two spacings
     (roots sit about a quarter spacing right of their anchors and shift
     further for higher modes), then filtered by the solved root's real part.
-    Per-mode failures are logged and skipped, never fatal.
+    Per-mode failures are logged and skipped, never fatal; an alpha outside
+    the model's range (``check_alpha``) raises before any mode is tried.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
+    check_alpha(pot, model)
     lo, hi = window
     if hi <= lo:
         return []

@@ -312,8 +312,71 @@ def test_constant_profile_steps_without_arclength_map(monkeypatch):
         calls.clear()
         bl.sabine_gap(ellipse, 0.05, POT1, Model.DELTA, n_average=n_average)
         counts.append(dict(calls))
-    assert counts[0]["_t_of_s"] > 0
+    assert counts[0]["_t_of_s"] == 1
     assert counts[0] == counts[1]
+
+
+# (curve, model, alpha, h, bound, minimizer s, minimizer xi, depth) on the
+# default grid, as float.hex: the single nested pass keeps every bit
+GOLDEN = [
+    ("circle:r=1", Model.DELTA, 0.0, 0.01, "0x1.5317d626e4a88p+1", "0x0.0p+0", "0x0.0p+0", 1),
+    ("circle:r=1", Model.DELTA, 0.0, 0.05, "0x1.d83770522a3c7p+0", "0x0.0p+0", "0x0.0p+0", 1),
+    ("circle:r=1", Model.DELTA_PRIME, 0.8, 0.01, "0x1.f6c9f9b09c6bep-4", "0x0.0p+0", "0x0.0p+0", 7),
+    ("circle:r=1", Model.DELTA_PRIME, 0.8, 0.05, "0x1.954748dcd4b1cp-3", "0x0.0p+0", "0x0.0p+0", 1),
+    ("ellipse:a=2,b=1", Model.DELTA, 0.0, 0.01, "0x1.5317d626e4a88p+0", "0x0.0p+0", "0x0.0p+0", 2),
+    ("ellipse:a=2,b=1", Model.DELTA, 0.0, 0.05, "0x1.d83770522a3c7p-1", "0x0.0p+0", "0x0.0p+0", 3),
+    ("ellipse:a=2,b=1", Model.DELTA_PRIME, 0.8, 0.01, "0x1.f6c9f9b09c6bep-5", "0x0.0p+0",
+     "0x0.0p+0", 7),
+    ("ellipse:a=2,b=1", Model.DELTA_PRIME, 0.8, 0.05, "0x1.954748dcd4b1cp-4", "0x0.0p+0",
+     "0x0.0p+0", 1),
+    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.01, "0x1.87e13e4c486a7p+0", "0x1.0b5ce1a3bb252p+3",
+     "0x1.d733333333332p-1", 7),
+    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.05, "0x1.0ebc63bd269adp+0", "0x1.0b5ce1a3bb252p+3",
+     "0x1.d733333333332p-1", 7),
+    ("stadium:l=1,r=1", Model.DELTA_PRIME, 0.8, 0.01, "0x1.61264515197bbp-4",
+     "0x1.9b53d14aa9c2fp+1", "0x1.d733333333332p-1", 7),
+    ("stadium:l=1,r=1", Model.DELTA_PRIME, 0.8, 0.05, "0x1.138b41f3e1353p-3",
+     "0x1.9b53d14aa9c2fp+1", "0x1.d733333333332p-1", 7),
+]
+
+
+@pytest.mark.parametrize("spec, model, alpha, h, bound, s, xi, depth", GOLDEN)
+def test_sabine_gap_golden_values(spec, model, alpha, h, bound, s, xi, depth):
+    report = bl.sabine_gap(BoundaryCurve.from_spec(spec), h, PotentialSpec(1.0, alpha), model)
+    assert report.bound.hex() == bound
+    assert (report.minimizer.s.hex(), report.minimizer.xi.hex()) == (s, xi)
+    assert report.n_average == depth
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA_PRIME, 0.8)])
+@pytest.mark.parametrize("grid, doubled", [((32, 32), (64, 64)), ((32, 17), (64, 32))])
+def test_convergence_check_is_the_nested_grid(spec, model, alpha, grid, doubled):
+    # the check grid doubles the s count and takes 2m - 1 of the m sampled xi
+    # values, which is the sampled grid of the doubled call
+    curve = BoundaryCurve.from_spec(spec)
+    pot = PotentialSpec(1.0, alpha)
+    report = bl.sabine_gap(curve, 0.05, pot, model, grid=grid)
+    b, b2 = report.bound, bl.sabine_gap(curve, 0.05, pot, model, grid=doubled).bound
+    assert report.converged == (abs(b2 - b) <= 0.01 * abs(b))
+
+
+def test_escape_cap_from_an_orbit_off_the_sampled_grid(ellipse21):
+    # the profile lives only near the landings of one orbit that starts on
+    # an odd s index of the check grid: every sampled orbit escapes, the
+    # check grid keeps a finite value, so the bound is the cap, not an error
+    h, n_s, n_xi = 0.05, 64, 64
+    L = ellipse21.total_length
+    start = PhasePoint(11 * L / (2 * n_s), float(np.linspace(-0.95, 0.95, 2 * n_xi + 1)[40]))
+    landings = np.array([seg.end.s for seg in bl.iterate(ellipse21, start, 8)])
+
+    def profile(s):
+        dist = np.abs((np.asarray(s, float)[..., None] - landings + 0.5 * L) % L - 0.5 * L)
+        return np.where(dist.min(axis=-1) < 1e-6, 1.0, 0.0)
+
+    report = bl.sabine_gap(ellipse21, h, PotentialSpec(1.0, 0.0, profile), Model.DELTA)
+    assert report.capped and not report.converged
+    assert report.bound == 10.0 * math.log(1.0 / h)
 
 
 @pytest.mark.parametrize("grid, sampled", [((16, 16), (16, 17)), ((16, 17), (16, 17)),
@@ -416,6 +479,15 @@ def test_all_orbits_escape(unit_circle):
     with pytest.raises(bl.AllOrbitsEscapeError):
         bl.sabine_gap(unit_circle, 0.1, dead, Model.DELTA,
                       grid=(16, 16), n_average=2)
+
+
+@pytest.mark.parametrize("field, V0, alpha", [
+    ("V0", math.nan, 0.0), ("V0", math.inf, 0.0), ("V0", 0.0, 0.0), ("V0", -1.0, 0.0),
+    ("alpha", 1.0, math.nan), ("alpha", 1.0, math.inf), ("alpha", 1.0, -math.inf),
+])
+def test_potential_rejects_nonfinite_or_nonpositive(field, V0, alpha):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        PotentialSpec(V0=V0, alpha=alpha)
 
 
 def test_potential_symbol_scaling():

@@ -120,6 +120,16 @@ def test_delta_prime_resonances_requires_unit_circle(tmp_path, capsys):
     (["sabine-bound", "--phase-grid", "8:8"], "--phase-grid"),
     (["disk-oracle", "--n-max", "-1"], "--n-max"),
     (["opnorm-scaling", "--quad-N", "10"], "--quad-N"),
+    (["sabine-bound", "--V0", "nan"], "--V0"),
+    (["sabine-bound", "--alpha", "nan"], "--alpha"),
+    (["disk-oracle", "--V0", "inf", "--n-max", "0"], "--V0"),
+    (["resonances", "--V0", "nan", "--grid", "2:2", "--quad-N", "16"], "--V0"),
+    (["billiards", "--s0", "nan"], "--s0"),
+    (["disk-oracle", "--alpha", "1.2", "--n-max", "1"], "--alpha"),
+    (["disk-oracle", "--model", "delta-prime", "--alpha", "0.3", "--n-max", "1"], "--alpha"),
+    (["resonances", "--model", "delta-prime", "--alpha", "0.3"], "--alpha"),
+    (["sabine-bound", "--delta1", "1.5"], "--delta1"),
+    (["sabine-bound", "--n-average", "0"], "--n-average"),
 ])
 def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"

@@ -206,6 +206,15 @@ def test_delta_prime_alpha_guard():
         do.delta_prime_resonance(0, 16, 0.02, PotentialSpec(V0=1.0, alpha=0.4))
 
 
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 1.0), (Model.DELTA, 1.2),
+                                          (Model.DELTA_PRIME, 0.5), (Model.DELTA_PRIME, 0.3)])
+def test_mode_sweep_checks_the_alpha_range(model, alpha):
+    # the sweep holds each model to the range its per-mode solvers require,
+    # before it tries a single mode
+    with pytest.raises(ValueError, match="^alpha must"):
+        do.mode_sweep(0.05, PotentialSpec(V0=1.0, alpha=alpha), model, 1, window=(0.9, 1.1))
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
