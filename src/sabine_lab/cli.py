@@ -2,11 +2,11 @@
 
 Subcommands: disk-oracle, resonances, sabine-bound, opnorm-scaling,
 billiards, from-manifest.  Each subparser in ``build_parser`` is the one
-declaration of its command's flags, types and defaults.  Every run writes a
-CSV (plus SVG on request) and a JSON manifest recording the command and its
-resolved flags; ``from-manifest`` replays one from the command's defaults
-overwritten by the recorded values, and identical arguments produce
-byte-identical CSV/SVG output.
+declaration of its command's flags, defaults and checks: a flag's type is its
+only check, so argparse names the flag it rejects.  Every run writes a CSV
+(plus SVG on request) and a JSON manifest recording the command and its
+flags; ``from-manifest`` replays one through the same parser, and identical
+arguments produce byte-identical CSV/SVG output.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numerical failure.
 """
@@ -34,14 +34,6 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return "%.17g" % float(x)
-
-
-def _model_from_flag(value: str) -> Model:
-    if value == "delta":
-        return Model.DELTA
-    if value in ("delta-prime", "delta_prime"):
-        return Model.DELTA_PRIME
-    raise ValueError(f"--model must be 'delta' or 'delta-prime', got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,48 +168,24 @@ def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each flag arrives checked; what is left spans flags
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str, n_fields: int, flag: str):
-    parts = text.split(":")
-    if len(parts) != n_fields:
-        raise ValueError(f"{flag} expects {n_fields} colon-separated fields, got {text!r}")
-    values = [float(p) for p in parts]
-    if not all(lo < hi for lo, hi in zip(values[::2], values[1::2])):
-        raise ValueError(f"{flag} needs each LO below its HI, got {text!r}")
-    return values
-
-
-def _parse_grid(text: str, flag: str, least: int):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects NX:NY, got {text!r}")
-    grid = int(parts[0]), int(parts[1])
-    if min(grid) < least:
-        raise ValueError(f"{flag} needs at least {least}:{least}, got {text!r}")
-    return grid
-
-
-def _potential(args: argparse.Namespace, oracle_model=None) -> PotentialSpec:
-    """The constant barrier of --V0 and --alpha, with alpha in the disk
-    oracle's range when it solves oracle_model; a rejected value is
-    reported under its flag."""
+def _check_oracle(args: argparse.Namespace, pot: PotentialSpec, model: Model, hi: float) -> None:
+    """The disk oracle's checks across flags: alpha for --model, HI/h at --h."""
     try:
-        pot = PotentialSpec(V0=args.V0, alpha=args.alpha)
-        if oracle_model is not None:
-            disk_oracle.check_alpha(pot, oracle_model)
+        disk_oracle.check_alpha(pot, model)
     except ValueError as exc:
-        raise ValueError(f"--{exc}") from None
-    return pot
+        raise ValueError(f"--{exc} (--model {args.model})") from None
+    if not math.isfinite(hi / args.h):
+        raise ValueError(f"--window {args.window} overflows at --h {args.h}")
 
 
 def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
-    model = _model_from_flag(args.model)
-    lo, hi = _parse_range(args.window, 2, "--window")
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
-    pot = _potential(args, model)
+    model = Model(args.model.replace("-", "_"))
+    lo, hi = _parse_range(args.window, 2)
+    pot = PotentialSpec(args.V0, args.alpha)
+    _check_oracle(args, pot, model, hi)
     candidates = disk_oracle.mode_sweep(args.h, pot, model, args.n_max,
                                         window=(lo, hi))
     rows = [
@@ -238,22 +206,16 @@ def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
 
 
 def _run_resonances(args: argparse.Namespace) -> list[str]:
-    model = _model_from_flag(args.model)
+    model = Model(args.model.replace("-", "_"))
     curve = BoundaryCurve.from_spec(args.curve)
-    re_lo, re_hi, im_lo, im_hi = _parse_range(args.window, 4, "--window")
-    if args.quad_n < 16 or args.quad_n % 2:
-        raise ValueError(f"--quad-N must be even and at least 16, got {args.quad_n}")
+    re_lo, re_hi, im_lo, im_hi = _parse_range(args.window, 4)
     if model is Model.DELTA_PRIME:
         if curve.kind is not CurveKind.CIRCLE or curve.params["radius"] != 1.0:
-            raise ValueError(
-                "--model delta-prime supports command 'resonances' only on the "
-                "unit circle (exact per-mode solving), so --curve must be "
-                f"circle:r=1, got {args.curve!r}; general-curve delta-prime "
-                "search is out of scope"
-            )
-        pot = _potential(args, model)
-        n_max = int(re_hi / args.h)
-        cands = disk_oracle.mode_sweep(args.h, pot, model, n_max,
+            raise ValueError("--model delta-prime solves 'resonances' by exact modes, on "
+                             f"--curve circle:r=1 only, got {args.curve!r}")
+        pot = PotentialSpec(args.V0, args.alpha)
+        _check_oracle(args, pot, model, re_hi)
+        cands = disk_oracle.mode_sweep(args.h, pot, model, int(re_hi / args.h),
                                        window=(re_lo, re_hi))
         cands = [c for c in cands if im_lo <= c.z.imag <= im_hi]
         gap = billiards.sabine_gap(curve, args.h, pot, model).bound
@@ -263,11 +225,10 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
             for c in cands
         ]
     else:
-        pot = _potential(args)
+        pot = PotentialSpec(args.V0, args.alpha)
         window = resonance_search.SearchWindow(
             re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
-            coarse_grid=_parse_grid(args.grid, "--grid", 1),
-            h=args.h, quad_n=args.quad_n,
+            coarse_grid=_parse_grid(args.grid, 1), h=args.h, quad_n=args.quad_n,
         )
         cands = resonance_search.find_resonances(window, curve, pot)
         rows = [
@@ -292,17 +253,12 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
 
 
 def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
-    model = _model_from_flag(args.model)
+    model = Model(args.model.replace("-", "_"))
     curve = BoundaryCurve.from_spec(args.curve)
-    pot = _potential(args)
-    grid = _parse_grid(args.phase_grid, "--phase-grid", 16)
-    if not 0.0 < args.delta1 < 1.0:
-        raise ValueError(f"--delta1 must lie in (0, 1), got {args.delta1}")
-    if args.n_average < 1:
-        raise ValueError(f"--n-average must be at least 1, got {args.n_average}")
+    pot = PotentialSpec(args.V0, args.alpha)
     report = billiards.sabine_gap(curve, args.h, pot, model,
-                                  delta1=args.delta1,
-                                  n_average=args.n_average, grid=grid)
+                                  delta1=args.delta1, n_average=args.n_average,
+                                  grid=_parse_grid(args.phase_grid, 16))
     print(f"decay-rate bound (-Im z / h units): {report.bound:.6g}")
     if model is Model.DELTA and pot.alpha < 1.0:
         diameter_bound = billiards.sabine_diameter_bound(curve, args.h, pot)
@@ -319,17 +275,13 @@ def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
 
 def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
-    lams = [float(x) for x in args.lambdas.split(",") if x]
-    if not lams or not all(0.0 < lam < math.inf for lam in lams):
-        raise ValueError(f"--lambdas must list positive frequencies, got {args.lambdas!r}")
-    if args.quad_n < 16:
-        raise ValueError(f"--quad-N must be at least 16, got {args.quad_n}")
+    diameter = curve.diameter()[0]
     rows = []
-    for lam in sorted(lams):
-        # resolve up to the cap; fully converged norms want ~5 nodes/wavelength
-        n_nodes = int(min(args.quad_n, max(256, 2 ** math.ceil(math.log2(5.12 * lam)))))
-        if n_nodes % 2:
-            n_nodes += 1
+    for lam in sorted(_parse_lambdas(args.lambdas)):
+        # 2.56 lambda d nodes up to a power of two: about 5 per wavelength on a
+        # boundary of length near pi d (5.12 lambda on the unit circle)
+        n_nodes = min(args.quad_n, 2 ** math.ceil(math.log2(max(256.0, 2.56 * lam * diameter))))
+        n_nodes += n_nodes % 2
         grid = bie.NystromGrid.build(curve, n_nodes)
         norm = bie.operator_norm(bie.assemble_single_layer(grid, lam))
         rows.append([lam, n_nodes, norm])
@@ -343,14 +295,7 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
 
 def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
-    if not math.isfinite(args.s0):
-        raise ValueError(f"--s0 must be finite, got {args.s0}")
-    if not abs(args.xi0) < 1.0:
-        raise ValueError(f"--xi0 must lie in (-1, 1), got {args.xi0}")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    q = billiards.PhasePoint(args.s0, args.xi0)
-    segments = billiards.iterate(curve, q, args.steps)
+    segments = billiards.iterate(curve, billiards.PhasePoint(args.s0, args.xi0), args.steps)
     rows = []
     for seg in segments:
         data = curve.point_at(seg.start.s)
@@ -370,13 +315,11 @@ _RUNNERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute a command's resolved arguments; returns the process exit code."""
+    """Execute a command's parsed arguments; returns the process exit code."""
     t0 = time.perf_counter()
     try:
-        if "h" in args and not 0.0 < args.h < 1.0:
-            raise ValueError(f"--h must lie in (0, 1), got {args.h}")
         outputs = _RUNNERS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SabineLabError as exc:
@@ -390,58 +333,117 @@ def run(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _checked(convert, holds, rule: str):
+    """An argparse type: convert the text, then require holds(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__   # argparse: "invalid float value: 'x'"
+    return parse
+
+
+def _as_text(parse):
+    """An argparse type for a compound flag: parse checks it; the manifest keeps the text."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
+
+
+def _parse_range(text: str, n_fields: int) -> list[float]:
+    """LO:HI pairs as floats, each finite and each LO below its HI."""
+    values = [float(p) for p in text.split(":")]
+    if len(values) != n_fields or not all(-math.inf < lo < hi < math.inf
+                                          for lo, hi in zip(values[::2], values[1::2])):
+        raise ValueError(f"expects {n_fields} colon-separated finite numbers, each LO "
+                         f"below its HI, got {text!r}")
+    return values
+
+
+def _parse_grid(text: str, least: int) -> tuple[int, int]:
+    """NX:NY as two integers, each at least least."""
+    parts = text.split(":")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) >= least for p in parts):
+        raise ValueError(f"expects two integers NX:NY of at least {least}, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _parse_lambdas(text: str) -> list[float]:
+    """Comma-separated frequencies, each finite and positive."""
+    lams = [float(x) for x in text.split(",") if x]
+    if not lams or not all(0.0 < lam < math.inf for lam in lams):
+        raise ValueError(f"must list finite positive frequencies, got {text!r}")
+    return lams
+
+
+# flag types: each flag's one check, which argparse reports under the flag
+_UNIT_INTERVAL = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+_FINITE = _checked(float, math.isfinite, "be finite")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "be finite and positive")
+_COUNT = _checked(int, lambda n: n >= 1, "be at least 1")
+_NODES = _checked(int, lambda n: n >= 16, "be at least 16")
+_EVEN_NODES = _checked(int, lambda n: n >= 16 and n % 2 == 0, "be even and at least 16")
+_CURVE = _as_text(BoundaryCurve.from_spec)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sabine-lab",
-        description="Scattering resonances of thin barriers on convex planar domains",
-    )
+    parser = argparse.ArgumentParser(prog="sabine-lab", description="Scattering resonances "
+                                     "of thin barriers on convex planar domains")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, curve=True):
         if curve:
-            p.add_argument("--curve", default="circle:r=1",
+            p.add_argument("--curve", type=_CURVE, default="circle:r=1",
                            help="circle:r=R | ellipse:a=A,b=B | stadium:l=L,r=R")
-        p.add_argument("--h", type=float, default=0.1, help="semiclassical scale")
-        p.add_argument("--V0", type=float, default=1.0, help="potential amplitude")
-        p.add_argument("--alpha", type=float, default=0.0,
+        p.add_argument("--h", type=_UNIT_INTERVAL, default=0.1, help="semiclassical scale")
+        p.add_argument("--V0", type=_POSITIVE, default=1.0, help="potential amplitude")
+        p.add_argument("--alpha", type=_FINITE, default=0.0,
                        help="strength exponent (h^-alpha for delta, h^+alpha for delta-prime)")
         p.add_argument("--model", default="delta", choices=["delta", "delta-prime"])
         p.add_argument("--out", default="out.csv", help="CSV output path")
 
     p = sub.add_parser("disk-oracle", help="exact per-mode resonances of the unit disk")
     add_common(p, curve=False)
-    p.add_argument("--n-max", type=int, default=0, dest="n_max")
-    p.add_argument("--window", default="0.5:1.5", help="LO:HI window for Re z")
+    p.add_argument("--n-max", type=_checked(int, lambda n: n >= 0, "be nonnegative"),
+                   default=0, dest="n_max")
+    p.add_argument("--window", type=_as_text(lambda t: _parse_range(t, 2)),
+                   default="0.5:1.5", help="LO:HI window for Re z")
     p.add_argument("--svg", default=None, help="optional SVG scatter path")
 
     p = sub.add_parser("resonances", help="boundary-integral search in a complex window")
     add_common(p)
-    p.add_argument("--window", default="0.9:1.1:-0.25:-0.02",
-                   help="RE_LO:RE_HI:IM_LO:IM_HI in z units")
-    p.add_argument("--grid", default="33:13", help="coarse scan grid NX:NY")
-    p.add_argument("--quad-N", type=int, default=256, dest="quad_n")
+    p.add_argument("--window", type=_as_text(lambda t: _parse_range(t, 4)),
+                   default="0.9:1.1:-0.25:-0.02", help="RE_LO:RE_HI:IM_LO:IM_HI in z units")
+    p.add_argument("--grid", type=_as_text(lambda t: _parse_grid(t, 1)), default="33:13",
+                   help="coarse scan grid NX:NY")
+    p.add_argument("--quad-N", type=_EVEN_NODES, default=256, dest="quad_n")
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("sabine-bound", help="billiard-averaged decay-rate bound")
     add_common(p)
-    p.add_argument("--delta1", type=float, default=0.05, help="glancing margin")
-    p.add_argument("--n-average", type=int, default=8, dest="n_average")
-    p.add_argument("--phase-grid", default="64:64", dest="phase_grid",
-                   help="phase-space grid NS:NXI")
+    p.add_argument("--delta1", type=_UNIT_INTERVAL, default=0.05, help="glancing margin")
+    p.add_argument("--n-average", type=_COUNT, default=8, dest="n_average")
+    p.add_argument("--phase-grid", type=_as_text(lambda t: _parse_grid(t, 16)),
+                   default="64:64", dest="phase_grid", help="phase-space grid NS:NXI")
 
     p = sub.add_parser("opnorm-scaling", help="layer-operator norm vs frequency")
-    p.add_argument("--curve", default="circle:r=1")
-    p.add_argument("--lambdas", default="50,100,200,400,800")
-    p.add_argument("--quad-N", type=int, default=1024, dest="quad_n",
-                   help="node-count cap")
+    p.add_argument("--curve", type=_CURVE, default="circle:r=1")
+    p.add_argument("--lambdas", type=_as_text(_parse_lambdas), default="50,100,200,400,800")
+    p.add_argument("--quad-N", type=_NODES, default=1024, dest="quad_n", help="node-count cap")
     p.add_argument("--out", default="out.csv")
 
     p = sub.add_parser("billiards", help="emit a billiard orbit as CSV")
-    p.add_argument("--curve", default="circle:r=1")
-    p.add_argument("--s0", type=float, default=0.0)
-    p.add_argument("--xi0", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--curve", type=_CURVE, default="circle:r=1")
+    p.add_argument("--s0", type=_FINITE, default=0.0)
+    p.add_argument("--xi0", type=_checked(float, lambda xi: abs(xi) < 1.0, "lie in (-1, 1)"),
+                   default=0.0)
+    p.add_argument("--steps", type=_COUNT, default=16)
     p.add_argument("--out", default="out.csv")
 
     p = sub.add_parser("from-manifest", help="re-run a recorded configuration")
@@ -449,50 +451,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_args(parser: argparse.ArgumentParser, config) -> argparse.Namespace:
-    """A manifest's config as its command's arguments: the command's own
-    defaults, overwritten by the values the config gives; keys the command
-    does not take are ignored.
-
-    Raises ValueError naming the offending field when config is not an
-    object, the command is missing or unknown, or a value's type does not
-    match its default's (an int is accepted where the default is a float, a
-    string or null where it is None, and bool never).
-    """
+def _replay_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """A manifest's config as its command's argv, one --flag=value per key the
+    command takes (the = form keeps a value such as -1:2 from being read as an
+    option); null values and other keys are skipped.  Raises ValueError naming
+    a field that is not an object, a known command, a number or a string."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"manifest must be an object, got {type(payload).__name__}")
+    config = payload.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"config must be an object, got {type(config).__name__}")
     command = config.get("command")
     if not isinstance(command, str) or command not in _RUNNERS:
         raise ValueError(f"config field 'command' must be one of {', '.join(_RUNNERS)}, "
                          f"got {command!r}")
-    args = parser.parse_args([command])
-    for name, default in vars(args).items():
-        if name not in config:
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    argv = [command]
+    for action in commands[command]._actions:
+        value = config.get(action.dest)
+        if action.default is argparse.SUPPRESS or value is None:   # SUPPRESS: --help
             continue
-        value = config[name]
-        allowed = (str, type(None)) if default is None else (type(default),)
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"config field {name!r} must be "
-                             f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
-        setattr(args, name, float(value) if isinstance(default, float) else value)
-    return args
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"config field {action.dest!r} ({action.option_strings[0]}) "
+                             f"must be a number or a string, got {value!r}")
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
 
 
 def main(argv=None) -> int:
+    """Parse argv, or a manifest's replay, and run it; returns the exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "from-manifest":
-        try:
-            with open(args.manifest) as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ValueError(f"manifest must be an object, got {type(payload).__name__}")
-            args = _replay_args(parser, payload.get("config"))
-        except (OSError, ValueError) as exc:
-            print(f"error: unreadable manifest {args.manifest!r}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "from-manifest":
+            args = parser.parse_args(_replay_argv(parser, args.manifest))
+    except SystemExit as exc:   # argparse exits after --help, --version or an error
+        return exc.code
+    except (OSError, ValueError) as exc:   # raised by _replay_argv only
+        print(f"error: unreadable manifest {args.manifest!r}: {exc}", file=sys.stderr)
+        return 2
     return run(args)
 
 if __name__ == "__main__":

@@ -294,17 +294,20 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     (roots sit about a quarter spacing right of their anchors and shift
     further for higher modes), then filtered by the solved root's real part.
     Per-mode failures are logged and skipped, never fatal; an alpha outside
-    the model's range (``check_alpha``) raises before any mode is tried.
+    the model's range (``check_alpha``) or a window that is not finite in
+    lambda = z/h raises ValueError before any mode is tried.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     check_alpha(pot, model)
     lo, hi = window
+    margin = 2.0 * math.pi * h
+    lam_hi = (hi + margin) / h
+    if not (math.isfinite(lo) and math.isfinite(lam_hi)):
+        raise ValueError(f"window {window} at h = {h} must stay finite in lambda")
     if hi <= lo:
         return []
-    margin = 2.0 * math.pi * h
     lam_lo = max((lo - margin) / h, 1e-6)
-    lam_hi = (hi + margin) / h
     out: list[ResonanceCandidate] = []
     for n in range(n_max + 1):
         if n >= 0.995 * lam_hi:

@@ -44,6 +44,8 @@ from .errors import TangentLaunchError, UnsupportedCurveKindError
 # at the end of a stadium straight that carries the cap curvature
 _GEOMETRIC_TOL = 1e-12
 _ELLIPSE_SPLINE_INTERVALS = 4096
+# from_spec's keys of each kind, in the order its constructor takes them
+_SPEC_KEYS = {"circle": ("r",), "ellipse": ("a", "b"), "stadium": ("l", "r")}
 
 
 class CurveKind(enum.Enum):
@@ -87,13 +89,13 @@ class BoundaryCurve:
         self.params = dict(params)
         if kind is CurveKind.CIRCLE:
             r = float(params["radius"])
-            if r <= 0:
-                raise ValueError("circle radius must be positive")
+            if not 0.0 < r < math.inf:
+                raise ValueError(f"circle radius must be finite and positive, got {r}")
             self.total_length = 2.0 * math.pi * r
         elif kind is CurveKind.ELLIPSE:
             a, b = float(params["a"]), float(params["b"])
-            if not (a >= b > 0):
-                raise ValueError("ellipse requires a >= b > 0")
+            if not (math.inf > a >= b > 0):
+                raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
             # s(t) = b E(t | m) with the parameter m = 1 - a^2/b^2 <= 0 is one
             # integral from t = 0, so s(0) = 0 and s(2pi) = total_length
             # exactly, and it holds for every real t (s(t + 2pi) = s(t) +
@@ -106,8 +108,9 @@ class BoundaryCurve:
             self._t_of_s_interp = PchipInterpolator(self._s_of_t(t), t)
         elif kind is CurveKind.STADIUM:
             l, rho = float(params["half_length"]), float(params["cap_radius"])
-            if l <= 0 or rho <= 0:
-                raise ValueError("stadium requires positive half-length and cap radius")
+            if not (0.0 < l < math.inf and 0.0 < rho < math.inf):
+                raise ValueError("stadium requires finite positive half-length and cap "
+                                 f"radius, got l={l}, r={rho}")
             self.total_length = 4.0 * l + 2.0 * math.pi * rho
         else:  # pragma: no cover
             raise UnsupportedCurveKindError(f"unknown curve kind {kind}")
@@ -128,23 +131,30 @@ class BoundaryCurve:
 
     @classmethod
     def from_spec(cls, spec: str) -> "BoundaryCurve":
-        """Parse a CLI curve string: "circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"."""
-        try:
-            kind, _, rest = spec.partition(":")
-            fields = {}
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                fields[key.strip()] = float(val)
-            if kind == "circle":
-                return cls.circle(fields["r"])
-            if kind == "ellipse":
-                return cls.ellipse(fields["a"], fields["b"])
-            if kind == "stadium":
-                return cls.stadium(fields["l"], fields["r"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"unparseable curve spec {spec!r}: {exc}") from None
-        raise ValueError(f"unknown curve kind in spec {spec!r} "
-                         "(expected circle:, ellipse: or stadium:)")
+        """Parse a CLI curve string: "circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1".
+
+        Each of the kind's keys must appear exactly once, and no other key.
+        """
+        kind, _, rest = spec.partition(":")
+        keys = _SPEC_KEYS.get(kind)
+        if keys is None:
+            raise ValueError(f"unknown curve kind in spec {spec!r} "
+                             "(expected circle:, ellipse: or stadium:)")
+        fields = {}
+        for item in rest.split(","):
+            key, _, val = item.partition("=")
+            key = key.strip()
+            if key not in keys or key in fields:
+                raise ValueError(f"curve spec {spec!r} has an unknown or repeated key "
+                                 f"{key!r} ({kind} takes {', '.join(keys)})")
+            try:
+                fields[key] = float(val)
+            except ValueError:
+                raise ValueError(f"curve spec {spec!r} gives {key} no number") from None
+        if len(fields) < len(keys):
+            raise ValueError(f"curve spec {spec!r} lacks a key ({kind} takes "
+                             f"{', '.join(keys)})")
+        return getattr(cls, kind)(*(fields[key] for key in keys))
 
     def describe(self) -> str:
         if self.kind is CurveKind.CIRCLE:

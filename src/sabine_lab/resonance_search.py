@@ -35,8 +35,8 @@ def accept_tolerance(quad_n: int) -> float:
 class SearchWindow:
     """Complex search rectangle in rescaled coordinates (Im z <= 0).
 
-    The imaginary range must stay inside the logarithmic strip
-    [-8 h log(1/h), 0].
+    Both ranges must be finite, and the imaginary range must stay inside the
+    logarithmic strip [-8 h log(1/h), 0].
     """
 
     re_range: tuple
@@ -50,6 +50,9 @@ class SearchWindow:
             raise ValueError(f"h must lie in (0, 1), got {self.h}")
         re_lo, re_hi = self.re_range
         im_lo, im_hi = self.im_range
+        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+            raise ValueError(f"re_range {self.re_range} and im_range {self.im_range} "
+                             "must be finite")
         if not (re_lo < re_hi):
             raise ValueError("re_range must be increasing")
         if not (im_lo < im_hi <= 0.0):

@@ -5,6 +5,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from sabine_lab import cli
@@ -130,10 +131,31 @@ def test_delta_prime_resonances_requires_unit_circle(tmp_path, capsys):
     (["resonances", "--model", "delta-prime", "--alpha", "0.3"], "--alpha"),
     (["sabine-bound", "--delta1", "1.5"], "--delta1"),
     (["sabine-bound", "--n-average", "0"], "--n-average"),
+    (["disk-oracle", "--window", "0.5:inf", "--n-max", "2"], "--window"),
+    (["disk-oracle", "--window", "0.9:1e308", "--n-max", "2"], "--window"),
+    (["resonances", "--window", "0.9:inf:-0.2:-0.02", "--grid", "2:2", "--quad-N", "16"],
+     "--window"),
+    (["sabine-bound", "--curve", "circle:r=nan"], "--curve"),
+    (["sabine-bound", "--curve", "circle:r=inf"], "--curve"),
+    (["billiards", "--curve", "stadium:l=nan,r=1"], "--curve"),
+    (["opnorm-scaling", "--curve", "circle:r=nan", "--lambdas", "50"], "--curve"),
+    (["sabine-bound", "--curve", "circle:r=1,r=2"], "--curve"),
+    (["sabine-bound", "--curve", "circle:r=1,q=2"], "--curve"),
+    (["resonances", "--grid", "1.5:2"], "--grid"),
+    (["sabine-bound", "--phase-grid", "16:x"], "--phase-grid"),
 ])
 def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    # given on the command line or replayed from a manifest, with its values as text
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    config = {"command": argv[0], "out": str(out)}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        config[{"--quad-N": "quad_n"}.get(name, name[2:].replace("-", "_"))] = value
+    manifest = tmp_path / "x.manifest.json"
+    manifest.write_text(json.dumps({"config": config}))
+    assert run_cli(["from-manifest", str(manifest)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -301,8 +323,10 @@ def test_resonances_csv_schema(tmp_path):
 @pytest.mark.parametrize("payload, message", [
     ({"config": {"h": 0.05, "out": "x.csv"}}, "'command'"),
     ({"config": ["disk-oracle", 0.05]}, "config must be an object"),
-    ({"config": {"command": "billiards", "steps": "abc"}}, "'steps'"),
+    ({"config": {"command": "billiards", "steps": "abc"}}, "--steps"),
     (["disk-oracle", 0.05], "manifest must be an object"),
+    ({"config": {"command": "billiards", "steps": True}}, "'steps'"),
+    ({"config": {"command": "disk-oracle", "window": [0.9, 1.1]}}, "'window'"),
 ])
 def test_malformed_manifest_exits_2(tmp_path, capsys, payload, message):
     manifest = tmp_path / "bad.manifest.json"
@@ -384,3 +408,41 @@ def test_eighteen_field_manifest_still_replays(tmp_path, argv, fields):
         {"config": {**EIGHTEEN_FIELDS, **fields, "out": str(replay)}}))
     assert run_cli(["from-manifest", str(manifest)]) == 0
     assert replay.read_bytes() == direct.read_bytes()
+
+
+def test_manifest_values_given_as_text_pass_the_flag_types(tmp_path):
+    # a text value goes through the same converter as the command line
+    direct, replay = tmp_path / "direct.csv", tmp_path / "replay.csv"
+    assert run_cli(["disk-oracle", "--h", "0.05", "--n-max", "1", "--window", "0.8:1.2",
+                    "--out", str(direct)]) == 0
+    manifest = tmp_path / "text.manifest.json"
+    manifest.write_text(json.dumps({"config": {
+        "command": "disk-oracle", "h": "0.05", "n_max": "1", "window": "0.8:1.2",
+        "out": str(replay)}}))
+    assert run_cli(["from-manifest", str(manifest)]) == 0
+    assert replay.read_bytes() == direct.read_bytes()
+    replayed = json.loads((tmp_path / "replay.csv.manifest.json").read_text())["config"]
+    assert replayed["h"] == 0.05 and replayed["n_max"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+@pytest.mark.filterwarnings("ignore:stadium boundary is only C")
+@pytest.mark.parametrize("spec", ["ellipse:a=2,b=1", "stadium:l=1,r=1"])
+def test_opnorm_scaling_off_the_circle(tmp_path, spec):
+    # ||G(lambda)|| ~ lambda^(-2/3) on a smooth strictly convex boundary, with
+    # local slopes falling toward -2/3; the stadium's straights give
+    # lambda^(-1/2) (Han and Tacy, J. Funct. Anal. 2015), so its slope sits above
+    out = tmp_path / "norms.csv"
+    assert run_cli(["opnorm-scaling", "--curve", spec, "--lambdas", "25,50,100,200",
+                    "--quad-N", "2048", "--out", str(out)]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in out.read_text().strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == [256, 512, 1024, 2048]   # 2.56 lambda d, d = 4
+    log_lam, log_norm = np.log([row[0] for row in rows]), np.log([row[2] for row in rows])
+    slope = np.polyfit(log_lam, log_norm, 1)[0]
+    if spec.startswith("ellipse"):
+        local = np.diff(log_norm) / np.diff(log_lam)
+        assert -0.73 <= slope <= -0.60
+        assert np.all(np.diff(local) < 0)
+    else:
+        assert slope > -0.60

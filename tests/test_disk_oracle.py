@@ -215,6 +215,16 @@ def test_mode_sweep_checks_the_alpha_range(model, alpha):
         do.mode_sweep(0.05, PotentialSpec(V0=1.0, alpha=alpha), model, 1, window=(0.9, 1.1))
 
 
+@pytest.mark.parametrize("window, h", [((0.5, math.inf), 0.1), ((math.nan, 1.0), 0.1),
+                                       ((-math.inf, 1.0), 0.1), ((0.9, 1e308), 0.1),
+                                       ((0.5, 1.5), 1e-310)])
+def test_mode_sweep_rejects_a_window_not_finite_in_lambda(window, h):
+    # a non-finite window, or a finite one whose top frequency (hi + 2 pi h)/h
+    # overflows, would enumerate modes up to an infinite phase
+    with pytest.raises(ValueError, match="finite"):
+        do.mode_sweep(h, POT1, Model.DELTA, 2, window=window)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

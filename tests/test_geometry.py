@@ -322,3 +322,18 @@ def test_curve_spec_parsing():
         BoundaryCurve.from_spec("hexagon:n=6")
     with pytest.raises(ValueError):
         BoundaryCurve.from_spec("circle:radius")
+
+
+@pytest.mark.parametrize("spec", ["circle:r=nan", "circle:r=inf", "circle:r=0",
+                                  "ellipse:a=inf,b=1", "ellipse:a=2,b=nan",
+                                  "stadium:l=nan,r=1", "stadium:l=1,r=inf", "stadium:l=0,r=1"])
+def test_curve_requires_finite_positive_parameters(spec):
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryCurve.from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1,r=2", "circle:r=1,q=2", "ellipse:a=2",
+                                  "stadium:r=1", "circle:", "ellipse:a=2,b=1,a=3"])
+def test_curve_spec_rejects_repeated_unknown_or_missing_keys(spec):
+    with pytest.raises(ValueError, match="key"):
+        BoundaryCurve.from_spec(spec)

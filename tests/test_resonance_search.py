@@ -1,5 +1,7 @@
 """Window scan, simplex refinement and acceptance gates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ def test_window_validation():
     with pytest.raises(ValueError):
         # below the logarithmic strip -8 h log(1/h) = -1.84
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-5.0, -0.1),
+                        coarse_grid=(4, 4), h=0.1, quad_n=64)
+
+
+@pytest.mark.parametrize("re_range, im_range", [
+    ((0.9, math.inf), (-0.2, -0.1)), ((-math.inf, 1.1), (-0.2, -0.1)),
+    ((math.nan, 1.1), (-0.2, -0.1)), ((0.9, 1.1), (-0.2, math.nan)),
+])
+def test_window_rejects_nonfinite_ranges(re_range, im_range):
+    with pytest.raises(ValueError, match="finite"):
+        rs.SearchWindow(re_range=re_range, im_range=im_range,
                         coarse_grid=(4, 4), h=0.1, quad_n=64)
 
 
