@@ -18,7 +18,6 @@ from .disk_oracle import (  # noqa: F401
     delta_prime_resonance,
     delta_resonance,
     mode_sweep,
-    newton_contract,
 )
 from .geometry import BoundaryCurve, CurveKind, SurfacePoint  # noqa: F401
 from .resonance_search import SearchWindow, find_resonances, refine, scan  # noqa: F401

@@ -269,12 +269,13 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     m = n_xi | 1
     s = np.linspace(0.0, curve.total_length, 2 * n_s, endpoint=False)
     xi = np.linspace(-(1.0 - delta1), 1.0 - delta1, 2 * m - 1)
-    S, XI = np.meshgrid(s, xi, indexing="ij")
-    frame = curve._frame(curve._u_of_s(S.ravel()))
-    cur_xi = XI.ravel()
+    # the start points, s-major: each boundary point is mapped and framed
+    # once, then repeated over the xi values
+    frame = tuple(np.repeat(c, xi.size) for c in curve._frame(curve._u_of_s(s)))
+    cur_xi = np.tile(xi, s.size)
     cum_chord = np.zeros(cur_xi.size)
     cum_logr = np.zeros(cur_xi.size)
-    values = np.empty((n_average,) + S.shape)
+    values = np.empty((n_average, s.size, xi.size))
     for depth in range(n_average):
         u, frame, cur_xi, travel = _step(curve, frame, cur_xi)
         cum_chord += travel
@@ -282,7 +283,7 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
         sv = pot.symbol(u if pot.is_constant else curve._s_of_u(u), h, model)
         cum_logr += _log_reflectivity_sq(cur_xi, sv, h, model)
         with np.errstate(invalid="ignore"):
-            values[depth] = (-cum_logr / (2.0 * cum_chord)).reshape(S.shape)
+            values[depth] = (-cum_logr / (2.0 * cum_chord)).reshape(s.size, xi.size)
     bound, depth, (i, j), capped = _sup_inf(values[:, ::2, ::2], cap)
     bound2, _, _, capped2 = _sup_inf(values, cap)
     # the grids nest, so a check grid that escaped to the cap has the

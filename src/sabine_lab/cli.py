@@ -171,21 +171,23 @@ def _circle_bound_line(x_values, curve: BoundaryCurve, pot: PotentialSpec, model
 # command implementations: each flag arrives checked; what is left spans flags
 # ---------------------------------------------------------------------------
 
-def _check_oracle(args: argparse.Namespace, pot: PotentialSpec, model: Model, hi: float) -> None:
+def _check_oracle(args: argparse.Namespace, pot: PotentialSpec, model: Model, window) -> None:
     """The disk oracle's checks across flags: alpha for --model, HI/h at --h."""
     try:
         disk_oracle.check_alpha(pot, model)
     except ValueError as exc:
         raise ValueError(f"--{exc} (--model {args.model})") from None
-    if not math.isfinite(hi / args.h):
-        raise ValueError(f"--window {args.window} overflows at --h {args.h}")
+    try:
+        disk_oracle.check_window(args.h, window)
+    except ValueError as exc:
+        raise ValueError(f"--window {args.window} at --h {args.h}: {exc}") from None
 
 
 def _run_disk_oracle(args: argparse.Namespace) -> list[str]:
     model = Model(args.model.replace("-", "_"))
     lo, hi = _parse_range(args.window, 2)
     pot = PotentialSpec(args.V0, args.alpha)
-    _check_oracle(args, pot, model, hi)
+    _check_oracle(args, pot, model, (lo, hi))
     candidates = disk_oracle.mode_sweep(args.h, pot, model, args.n_max,
                                         window=(lo, hi))
     rows = [
@@ -214,7 +216,7 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
             raise ValueError("--model delta-prime solves 'resonances' by exact modes, on "
                              f"--curve circle:r=1 only, got {args.curve!r}")
         pot = PotentialSpec(args.V0, args.alpha)
-        _check_oracle(args, pot, model, re_hi)
+        _check_oracle(args, pot, model, (re_lo, re_hi))
         cands = disk_oracle.mode_sweep(args.h, pot, model, int(re_hi / args.h),
                                        window=(re_lo, re_hi))
         cands = [c for c in cands if im_lo <= c.z.imag <= im_hi]
@@ -226,10 +228,13 @@ def _run_resonances(args: argparse.Namespace) -> list[str]:
         ]
     else:
         pot = PotentialSpec(args.V0, args.alpha)
-        window = resonance_search.SearchWindow(
-            re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
-            coarse_grid=_parse_grid(args.grid, 1), h=args.h, quad_n=args.quad_n,
-        )
+        try:
+            window = resonance_search.SearchWindow(
+                re_range=(re_lo, re_hi), im_range=(im_lo, im_hi),
+                coarse_grid=_parse_grid(args.grid, 1), h=args.h, quad_n=args.quad_n,
+            )
+        except ValueError as exc:
+            raise ValueError(f"--window {args.window} at --h {args.h}: {exc}") from None
         cands = resonance_search.find_resonances(window, curve, pot)
         rows = [
             [c.z.real, c.z.imag, c.provenance.sigma_min, c.provenance.cond,

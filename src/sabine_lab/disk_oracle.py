@@ -6,9 +6,10 @@ functions at argument z/h.  Enumerating n >= 0 is complete: the equations
 involve n only through J_n*H1_n products, which modes n and -n share.
 Each root is reached by plain Newton from a lattice initial guess
 (phase-corrected for higher modes) and must stay in that guess's lattice
-cell; one contraction certificate at the root then proves it is the only
-root within the certified radius.  Each step takes F, F' and F'' from one
-Bessel evaluation at its point.
+cell.  A root that lands in the window then gets one sampled contraction
+check: the Newton-Kantorovich condition for a unique root near it, with
+|F''| taken as the largest of 8 samples on a circle, not a proven bound.
+Each evaluation takes F, F' and F'' from one Bessel call at its point.
 Serves as ground truth for the boundary-integral search.
 """
 
@@ -18,7 +19,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import specfun
 from .billiards import Model, PotentialSpec
@@ -35,7 +36,8 @@ DEFAULT_WINDOW = (0.5, 1.5)
 
 @dataclass(frozen=True)
 class OracleProvenance:
-    """Mode (n, k) of a disk root and its certificate from ``NewtonResult``."""
+    """Mode (n, k) of a disk root, the factor d*eps/b of its sampled contraction
+    check (``_contraction_check``) and the Newton steps that reached it."""
 
     n: int
     k: int
@@ -63,59 +65,18 @@ class ResonanceCandidate:
     sabine_margin: Optional[float] = None
 
 
-class NewtonResult(NamedTuple):
-    root: complex
-    residual: float
-    contraction: float
-    iterations: int
-
-
 # ---------------------------------------------------------------------------
-# Newton solve and its certificate
+# Newton solve and its sampled contraction check
 # ---------------------------------------------------------------------------
 
-def newton_contract(f: Callable, z0: complex, eps: float, a: float, b: float,
-                    d: float) -> NewtonResult:
-    """Root of F in |z - z0| <= eps, certified by the contraction bounds.
+def _newton(f, z0: complex, eps0: float):
+    """Newton from the guess z0; returns the root z, F(z), F'(z) and the steps.
 
-    f(z) returns the triple (F, F', F'') at z.  Requires |F(z0)| <= a,
-    |F'(z0)| >= b and sup |F''| <= d on the disk, with
-    a + d*eps^2 < eps*b < 0.9.  Iterates the frozen-derivative map
-    g(z) = z - F(z)/F'(z0), which is a contraction with factor d*eps/b.
-    """
-    if not (a + d * eps * eps < eps * b < _MAX_EPS_B):
-        raise NewtonConditionError(f"contraction condition failed: a={a:.3e}, b={b:.3e}, "
-                                   f"d={d:.3e}, eps={eps:.3e} (need a + d*eps^2 < eps*b "
-                                   f"< {_MAX_EPS_B})")
-    fz, dz0, _ = f(z0)
-    z = z0
-    for it in range(1, _MAX_ITER + 1):
-        step = fz / dz0
-        z -= step
-        fz = f(z)[0]
-        if abs(fz) < 1e-12 * b * eps or abs(step) < 1e-17 * max(abs(z), 1.0):
-            return NewtonResult(z, abs(fz), d * eps / b, it)
-    raise NewtonConvergenceError(f"no convergence after {_MAX_ITER} iterations; final |f| = "
-                                 f"{abs(fz):.3e} (bound estimates a={a:.3e}, b={b:.3e}, "
-                                 f"d={d:.3e} may be wrong)")
-
-
-def _second_derivative_bound(f, center: complex, eps: float) -> float:
-    """max |F''| over 8 samples of the eps-circle."""
-    return max(abs(f(center + eps * cmath.exp(2j * math.pi * j / 8.0))[2])
-               for j in range(8))
-
-
-def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
-    """Newton from the guess z0, then one contraction certificate at its root.
-
-    eps0 is a quarter of the lattice spacing of the mode's roots.  Newton
-    takes fresh derivatives at every iterate and must stay in the guess's
-    lattice cell |z - z0| <= 4 eps0: a path that leaves it would return a
-    neighbouring root, so it raises instead.  The certificate radius eps
-    puts eps*b at 0.45, half the cap of ``newton_contract``, or is eps0 if
-    that is smaller.  ``iterations`` counts the Newton steps and the
-    certificate's contraction steps.
+    f(z) returns the triple (F, F', F'') at z.  eps0 is a quarter of the
+    lattice spacing of the mode's roots.  Newton takes fresh derivatives at
+    every iterate and must stay in the guess's lattice cell |z - z0| <= 4 eps0:
+    a path that leaves it would return a neighbouring root, so it raises
+    instead.
     """
     z, (fz, dfz, _) = z0, f(z0)
     steps = 0
@@ -130,9 +91,33 @@ def _certified_solve(f, z0: complex, eps0: float) -> NewtonResult:
         fz, dfz, _ = f(z)
         if abs(step) < 1e-15 * abs(z):
             break
-    eps = min(eps0, 0.5 * _MAX_EPS_B / abs(dfz))
-    cert = newton_contract(f, z, eps, abs(fz), abs(dfz), _second_derivative_bound(f, z, eps))
-    return cert._replace(iterations=steps + cert.iterations)
+    return z, fz, dfz, steps
+
+
+def _second_derivative_bound(f, center: complex, eps: float) -> float:
+    """Sampled d: max |F''| over 8 points of the eps-circle, not a bound over the disk."""
+    return max(abs(f(center + eps * cmath.exp(2j * math.pi * j / 8.0))[2])
+               for j in range(8))
+
+
+def _contraction_check(f, z: complex, fz: complex, dfz: complex, eps0: float) -> float:
+    """Sampled contraction check at a Newton root z; returns the factor d*eps/b.
+
+    With a = |F(z)|, b = |F'(z)| and d from ``_second_derivative_bound``,
+    requires a + d*eps^2 < eps*b < 0.9: were d a bound on |F''| over
+    |w - z| <= eps, the frozen-derivative map w - F(w)/F'(z) would contract
+    there with factor d*eps/b, and z would be the only root in that disk.
+    The radius eps puts eps*b at 0.45, half the cap, or is eps0 if that is
+    smaller.
+    """
+    a, b = abs(fz), abs(dfz)
+    eps = min(eps0, 0.5 * _MAX_EPS_B / b)
+    d = _second_derivative_bound(f, z, eps)
+    if not (a + d * eps * eps < eps * b < _MAX_EPS_B):
+        raise NewtonConditionError(f"contraction condition failed: a={a:.3e}, b={b:.3e}, "
+                                   f"d={d:.3e}, eps={eps:.3e} (need a + d*eps^2 < eps*b "
+                                   f"< {_MAX_EPS_B})")
+    return d * eps / b
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +213,26 @@ def mode_guess(n: int, lam: float, h: float, pot: PotentialSpec, model: Model) -
 
 def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
                 window) -> ResonanceCandidate:
-    lo, hi = window
+    """The root of mode (n, k), which must land in the window lo <= Re z <= hi."""
     lam = _anchor_lambda(n, k)
-    if not (lo <= h * lam <= hi):
-        raise WindowMissError(f"mode (n={n}, k={k}) anchor Re z = {h * lam:.6f} "
-                              f"outside window [{lo}, {hi}]")
     if lam <= n * (1.0 + 1e-9):
         raise WindowMissError(f"mode (n={n}, k={k}) anchors at glancing")
-    z0 = mode_guess(n, lam, h, pot, model)
     f = mode_equation(n, h, pot, model)
-    result = _certified_solve(f, z0, eps0=math.pi * h / 4.0)
-    z = result.root
-    if result.residual >= _RESIDUAL_TOL:
-        raise NewtonConvergenceError(f"mode (n={n}, k={k}) residual {result.residual:.3e} "
+    eps0 = math.pi * h / 4.0
+    z, fz, dfz, steps = _newton(f, mode_guess(n, lam, h, pot, model), eps0)
+    if abs(fz) >= _RESIDUAL_TOL:
+        raise NewtonConvergenceError(f"mode (n={n}, k={k}) residual {abs(fz):.3e} "
                                      f"above {_RESIDUAL_TOL}")
     if z.imag >= 0.0:
         raise NewtonConvergenceError(f"mode (n={n}, k={k}) converged to nonnegative "
                                      f"Im z = {z.imag:.3e}")
-    return ResonanceCandidate(z=z, h=h, residual=result.residual, provenance=OracleProvenance(
-        n=n, k=k, model=model, contraction=result.contraction, iterations=result.iterations))
+    lo, hi = window
+    if not lo <= z.real <= hi:
+        raise WindowMissError(f"mode (n={n}, k={k}) root Re z = {z.real:.6f} "
+                              f"outside window [{lo}, {hi}]")
+    contraction = _contraction_check(f, z, fz, dfz, eps0)
+    return ResonanceCandidate(z=z, h=h, residual=abs(fz), provenance=OracleProvenance(
+        n=n, k=k, model=model, contraction=contraction, iterations=steps))
 
 
 def check_alpha(pot: PotentialSpec, model: Model) -> None:
@@ -256,6 +242,15 @@ def check_alpha(pot: PotentialSpec, model: Model) -> None:
         raise ValueError(f"alpha must lie below 1 for the delta oracle, got {pot.alpha}")
     if model is Model.DELTA_PRIME and not pot.alpha > 0.5:
         raise ValueError(f"alpha must exceed 1/2 for the delta-prime oracle, got {pot.alpha}")
+
+
+def check_window(h: float, window) -> None:
+    """The sweep's range of the window: finite, with its top frequency HI/h
+    inside the Bessel region Re lambda <= specfun.REGION_RE_MAX."""
+    lo, hi = window
+    if not (math.isfinite(lo) and hi / h <= specfun.REGION_RE_MAX):
+        raise ValueError(f"window {window} at h = {h} must stay finite in lambda = z/h, "
+                         f"with HI/h at most {specfun.REGION_RE_MAX:g}")
 
 
 def delta_resonance(n: int, k: int, h: float, pot: PotentialSpec,
@@ -292,22 +287,22 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
 
     Lattice anchors are enumerated over the window widened by two spacings
     (roots sit about a quarter spacing right of their anchors and shift
-    further for higher modes), then filtered by the solved root's real part.
-    Per-mode failures are logged and skipped, never fatal; an alpha outside
-    the model's range (``check_alpha``) or a window that is not finite in
-    lambda = z/h raises ValueError before any mode is tried.
+    further for higher modes); each solve keeps its root only if it lands in
+    the window, and only a kept root is checked.  A root outside the window
+    is skipped silently; other per-mode failures are logged and skipped,
+    never fatal.  An alpha outside the model's range (``check_alpha``) or a
+    window outside the Bessel region (``check_window``) raises ValueError
+    before any mode is tried.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
     check_alpha(pot, model)
+    check_window(h, window)
     lo, hi = window
-    margin = 2.0 * math.pi * h
-    lam_hi = (hi + margin) / h
-    if not (math.isfinite(lo) and math.isfinite(lam_hi)):
-        raise ValueError(f"window {window} at h = {h} must stay finite in lambda")
     if hi <= lo:
         return []
-    lam_lo = max((lo - margin) / h, 1e-6)
+    margin = 2.0 * math.pi * h
+    lam_lo, lam_hi = max((lo - margin) / h, 1e-6), (hi + margin) / h
     out: list[ResonanceCandidate] = []
     for n in range(n_max + 1):
         if n >= 0.995 * lam_hi:
@@ -318,13 +313,11 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
         k_hi = math.floor(_phase(lam_hi, n) / (2.0 * math.pi))
         for k in range(k_lo, k_hi + 1):
             try:
-                cand = _solve_mode(n, k, h, pot, model,
-                                   window=(lo - margin, hi + margin))
+                out.append(_solve_mode(n, k, h, pot, model, window))
+            except WindowMissError:
+                continue
             except SabineLabError as exc:
                 logger.warning("mode (n=%d, k=%d) failed: %s", n, k, exc)
-                continue
-            if lo <= cand.z.real <= hi:
-                out.append(cand)
     return _dedup(out, lambda c: (c.z.real, c.provenance.n), _DEDUP_TOL)
 
 

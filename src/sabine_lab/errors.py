@@ -54,15 +54,15 @@ class RecurrenceBudgetError(SabineLabError):
 
 
 class NewtonConditionError(SabineLabError):
-    """Contraction-lemma inequality could not be satisfied at any trial radius."""
+    """The sampled contraction check a + d*eps^2 < eps*b < 0.9 failed at a Newton root."""
 
 
 class NewtonConvergenceError(SabineLabError):
-    """Certified Newton iteration failed to converge within the iteration cap."""
+    """Newton stalled, left its lattice cell, or reached a root that fails the gates."""
 
 
 class WindowMissError(SabineLabError):
-    """Mode anchor or solved root lies outside the configured window."""
+    """Mode anchor at glancing, or solved root outside the configured window."""
 
 
 class NotAResonanceError(SabineLabError):

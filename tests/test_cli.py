@@ -3,12 +3,13 @@
 import json
 import math
 import re
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from sabine_lab import cli
+from sabine_lab import cli, disk_oracle
 from sabine_lab.billiards import Model, PotentialSpec, sabine_gap
 from sabine_lab.disk_oracle import mode_sweep
 from sabine_lab.geometry import BoundaryCurve
@@ -143,6 +144,8 @@ def test_delta_prime_resonances_requires_unit_circle(tmp_path, capsys):
     (["sabine-bound", "--curve", "circle:r=1,q=2"], "--curve"),
     (["resonances", "--grid", "1.5:2"], "--grid"),
     (["sabine-bound", "--phase-grid", "16:x"], "--phase-grid"),
+    (["resonances", "--window", "0.9:1.1:-5:-0.1", "--grid", "2:2", "--quad-N", "16"],
+     "--window"),
 ])
 def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     # given on the command line or replayed from a manifest, with its values as text
@@ -157,6 +160,28 @@ def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     manifest.write_text(json.dumps({"config": config}))
     assert run_cli(["from-manifest", str(manifest)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["disk-oracle", "--window", "0.9:1e12", "--n-max", "0"],
+    ["resonances", "--model", "delta-prime", "--alpha", "0.9",
+     "--window", "0.9:1e12:-0.2:-0.02"],
+])
+def test_oracle_window_beyond_the_bessel_region_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # HI/h = 1e13 would enumerate modes without end, each failing outside the
+    # validated Bessel region (Re lambda <= 2000): it is rejected before any
+    # mode is solved
+    def no_solve(*args):
+        raise AssertionError("a mode was solved")
+
+    monkeypatch.setattr(disk_oracle, "_solve_mode", no_solve)
+    out = tmp_path / "x.csv"
+    t0 = time.perf_counter()
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "--window" in err and "--h" in err
     assert not out.exists()
 
 

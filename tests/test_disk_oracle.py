@@ -39,40 +39,50 @@ def independent_residual(candidate, pot):
     return float(abs(mp_mode_function(prov.n, candidate.h, pot, prov.model, candidate.z)))
 
 
-def count_bessel_quad(monkeypatch):
-    """Monkeypatch specfun.bessel_quad with a call counter; returns the count."""
+def count_calls(monkeypatch, owner, name):
+    """Monkeypatch owner.name with a call counter; returns the count."""
     calls = [0]
-    original = do.specfun.bessel_quad
+    original = getattr(owner, name)
 
-    def counted(n, z):
+    def counted(*args):
         calls[0] += 1
-        return original(n, z)
+        return original(*args)
 
-    monkeypatch.setattr(do.specfun, "bessel_quad", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 # ---------------------------------------------------------------------------
-# newton_contract
+# Newton solve and its sampled contraction check
 # ---------------------------------------------------------------------------
 
+def newton_and_check(f, z0, eps0):
+    """The root Newton reaches from z0 and the contraction factor of its check."""
+    z, fz, dfz, _ = do._newton(f, z0, eps0)
+    return z, do._contraction_check(f, z, fz, dfz, eps0)
+
+
 def test_newton_contract_quadratic():
-    res = do.newton_contract(lambda z: (z * z - 1, 2 * z, 2.0),
-                             1.05 + 0j, 0.1, a=abs(1.05**2 - 1), b=2.0, d=2.0)
-    assert abs(res.root - 1.0) < 1e-12
-    assert res.contraction < 1.0
+    root, contraction = newton_and_check(lambda z: (z * z - 1, 2 * z, 2.0), 1.05 + 0j, 0.1)
+    assert abs(root - 1.0) < 1e-12
+    assert contraction < 1.0
 
 
 def test_newton_contract_exponential():
-    res = do.newton_contract(lambda z: (np.exp(z) - 1, np.exp(z), np.exp(z)),
-                             0.05 + 0j, 0.1,
-                             a=abs(np.exp(0.05) - 1), b=np.exp(-0.05), d=np.exp(0.15))
-    assert abs(res.root) < 1e-12
+    root, contraction = newton_and_check(lambda z: (np.exp(z) - 1, np.exp(z), np.exp(z)),
+                                         0.05 + 0j, 0.1)
+    assert abs(root) < 1e-12
+    assert contraction < 1.0
 
 
 def test_newton_contract_condition_guard():
+    # a = |F| = 5, b = |F'| = 1, d = |F''| = 1 and eps = eps0 = 0.1 (below 0.45 / b):
+    # a + d eps^2 = 5.01 is not below eps b = 0.1
+    def f(z):
+        return 5.0 + z + 0.5 * z * z, 1.0 + z, 1.0
+
     with pytest.raises(NewtonConditionError):
-        do.newton_contract(lambda z: (z, 1.0, 0.0), 0j, 0.1, a=5.0, b=1.0, d=1.0)
+        do._contraction_check(f, 0j, *f(0j)[:2], eps0=0.1)
 
 
 def test_newton_leaving_its_cell_raises():
@@ -82,8 +92,8 @@ def test_newton_leaving_its_cell_raises():
         return cmath.sin(z), cmath.cos(z), -cmath.sin(z)
 
     with pytest.raises(NewtonConvergenceError, match="lattice cell"):
-        do._certified_solve(sine, 1.4 + 0j, eps0=math.pi / 4)
-    assert abs(do._certified_solve(sine, 0.3 + 0j, eps0=math.pi / 4).root) < 1e-15
+        do._newton(sine, 1.4 + 0j, eps0=math.pi / 4)
+    assert abs(do._newton(sine, 0.3 + 0j, eps0=math.pi / 4)[0]) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +108,7 @@ def test_mode_equation_derivatives_match_mpmath(model, alpha, n, monkeypatch):
     h = 0.1
     pot = PotentialSpec(V0=1.0, alpha=alpha)
     f = do.mode_equation(n, h, pot, model)
-    calls = count_bessel_quad(monkeypatch)
+    calls = count_calls(monkeypatch, do.specfun, "bessel_quad")
     for i, z in enumerate((0.93 - 0.06j, 1.21 - 0.15j)):
         values = f(z)
         assert calls[0] == i + 1
@@ -109,14 +119,14 @@ def test_mode_equation_derivatives_match_mpmath(model, alpha, n, monkeypatch):
 
 def test_single_root_bessel_work(monkeypatch):
     # exact work counts, which unlike wall-clock budgets do not depend on
-    # host load: Newton, then 8 second-derivative samples and 2 evaluations
-    # for the certificate
-    calls = count_bessel_quad(monkeypatch)
+    # host load: 5 Newton evaluations, then the check's 8 second-derivative
+    # samples
+    calls = count_calls(monkeypatch, do.specfun, "bessel_quad")
     do.delta_resonance(0, 6, 0.05, POT1)
-    assert calls[0] <= 15
+    assert calls[0] == 13
     calls[0] = 0
     do.delta_prime_resonance(0, 32, 0.01, PotentialSpec(V0=1.0, alpha=0.9))
-    assert calls[0] <= 15
+    assert calls[0] == 13
 
 
 @pytest.mark.parametrize("n, root", [(172, 0.904261736747844 - 0.037718081591802j),
@@ -157,8 +167,8 @@ def test_delta_root_locally_unique(rng):
     for _ in range(8):
         angle = rng.uniform(0, 2 * math.pi)
         start = base + (h / 100) * complex(math.cos(angle), math.sin(angle))
-        res = do._certified_solve(f, start, eps0=math.pi * h / 4)
-        assert abs(res.root - base) < 1e-10
+        root = do._newton(f, start, eps0=math.pi * h / 4)[0]
+        assert abs(root - base) < 1e-10
 
 
 def test_delta_alpha_guard():
@@ -217,10 +227,17 @@ def test_mode_sweep_checks_the_alpha_range(model, alpha):
 
 @pytest.mark.parametrize("window, h", [((0.5, math.inf), 0.1), ((math.nan, 1.0), 0.1),
                                        ((-math.inf, 1.0), 0.1), ((0.9, 1e308), 0.1),
-                                       ((0.5, 1.5), 1e-310)])
-def test_mode_sweep_rejects_a_window_not_finite_in_lambda(window, h):
-    # a non-finite window, or a finite one whose top frequency (hi + 2 pi h)/h
-    # overflows, would enumerate modes up to an infinite phase
+                                       ((0.5, 1.5), 1e-310), ((0.9, 1e12), 0.1),
+                                       ((0.5, 1.5), 1e-4)])
+def test_mode_sweep_rejects_a_window_not_finite_in_lambda(window, h, monkeypatch):
+    # a non-finite window, or a finite one whose top frequency hi/h overflows
+    # or leaves the Bessel region (Re lambda <= 2000), would enumerate modes
+    # up to an infinite phase, or solve mode after mode outside the region:
+    # it is rejected before any mode is solved
+    def no_solve(*args):
+        raise AssertionError("a mode was solved")
+
+    monkeypatch.setattr(do, "_solve_mode", no_solve)
     with pytest.raises(ValueError, match="finite"):
         do.mode_sweep(h, POT1, Model.DELTA, 2, window=window)
 
@@ -269,6 +286,15 @@ def test_sweep_roots_carry_their_certificate(model, alpha):
     for c in out:
         assert 0.0 < c.provenance.contraction < 1.0
         assert c.provenance.iterations >= 1
+
+
+def test_sweep_certifies_only_kept_roots(monkeypatch):
+    # the sampled check runs once per root the sweep returns; the solves whose
+    # roots land outside the window stop before it
+    calls = count_calls(monkeypatch, do, "_second_derivative_bound")
+    out = do.mode_sweep(0.1, POT1, Model.DELTA, 9, window=(0.9, 1.1))
+    assert len(out) == 5
+    assert calls[0] == len(out)
 
 
 def test_mode_sweep_collects_failures_quietly(caplog):
