@@ -15,8 +15,7 @@ from .billiards import (  # noqa: F401
 )
 from .disk_oracle import (  # noqa: F401
     ResonanceCandidate,
-    delta_prime_resonance,
-    delta_resonance,
+    mode_resonance,
     mode_sweep,
 )
 from .geometry import BoundaryCurve, CurveKind, SurfacePoint  # noqa: F401

@@ -125,14 +125,14 @@ def _log_quadrature_weights(N: int) -> np.ndarray:
     """Trigonometric weights R_d for the log(4 sin^2((t-tau)/2)) factor.
 
     R_d = -(4 pi / N) [ sum_{m=1}^{N/2-1} cos(m t_d)/m + cos(N t_d / 2)/N ]
-    on the even periodic grid t_d = 2 pi d / N.
+    on the even periodic grid t_d = 2 pi d / N: the real part of one FFT of
+    the even sequence e[m] = e[N - m] = 1/(2m), e[N/2] = 1/N.
     """
-    d = np.arange(N)
-    ang = 2.0 * np.pi * d / N
     m = np.arange(1, N // 2)
-    weights = (np.cos(np.outer(ang, m)) / m).sum(axis=1)
-    weights += np.cos(0.5 * N * ang) / N
-    return -(4.0 * np.pi / N) * weights
+    e = np.zeros(N)
+    e[m] = e[N - m] = 0.5 / m
+    e[N // 2] = 1.0 / N
+    return -(4.0 * np.pi / N) * np.fft.fft(e).real
 
 
 def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

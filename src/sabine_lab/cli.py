@@ -301,11 +301,9 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
 def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
     segments = billiards.iterate(curve, billiards.PhasePoint(args.s0, args.xi0), args.steps)
-    rows = []
-    for seg in segments:
-        data = curve.point_at(seg.start.s)
-        rows.append([seg.start.s, seg.start.xi,
-                     data.position[0], data.position[1], seg.chord_length])
+    positions = curve.point_many([seg.start.s for seg in segments])["position"]
+    rows = [[seg.start.s, seg.start.xi, x, y, seg.chord_length]
+            for seg, (x, y) in zip(segments, positions)]
     _write_csv(args.out, ["s", "xi", "x", "y", "chord"], rows)
     return [args.out]
 

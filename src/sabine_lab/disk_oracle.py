@@ -16,6 +16,7 @@ Serves as ground truth for the boundary-integral search.
 from __future__ import annotations
 
 import cmath
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -133,20 +134,18 @@ def _product_rule(u, v):
 def mode_equation(n: int, h: float, pot: PotentialSpec, model: Model):
     """The per-mode transcendental function as f(z) -> (F, F', F'').
 
-    delta:       F(z) = 1 - (pi h^-alpha V0 / 2i) J_n(z/h) H1_n(z/h)
-    delta-prime: F(z) = 1 + (pi z^2 h^(alpha-2) V0 / 2i) J_n'(z/h) H1_n'(z/h)
+    delta:       F(z) = 1 - (pi sigma / 2i) J_n(z/h) H1_n(z/h)
+    delta-prime: F(z) = 1 + (pi sigma z^2 / 2i h^2) J_n'(z/h) H1_n'(z/h)
 
-    Each call makes one ``specfun.bessel_quad`` evaluation, at lam = z/h.
+    with the barrier strength sigma = ``pot.symbol(0, h, model)``.  Each
+    call makes one ``specfun.bessel_quad`` evaluation, at lam = z/h.
     """
     if not pot.is_constant:
         raise ValueError("the disk oracle requires a constant potential profile")
     delta = model is Model.DELTA
-    if delta:
-        # 1 - (pi x / 2i) J H = 1 + (i pi x / 2) J H
-        coeff = 0.5j * math.pi * h ** (-pot.alpha) * pot.V0
-    else:
-        # 1 + (pi x / 2i) z^2 J' H' = 1 - (i pi x / 2) z^2 J' H'
-        coeff = -0.5j * math.pi * h ** (pot.alpha - 2.0) * pot.V0
+    sigma = pot.symbol(0.0, h, model)
+    # 1 - (pi x / 2i) w = 1 + (i pi x / 2) w, and 1 + (pi x / 2i) w = 1 - (i pi x / 2) w
+    coeff = 0.5j * math.pi * sigma if delta else -0.5j * math.pi * sigma / (h * h)
 
     def f(z: complex):
         lam = z / h
@@ -198,15 +197,16 @@ def mode_guess(n: int, lam: float, h: float, pot: PotentialSpec, model: Model) -
     """Initial guess z0 = h*(lam + displacement) for the root anchored at lam.
 
     The displacement solves the leading asymptotic model of the mode
-    equation: e^{i Phi} = B with B = 2i*lam*xi1*h^alpha/V0 - 1 (delta) or
-    B = 1 + 2i/(lam*xi1*h^alpha*V0) (delta-prime); for n = 0 this reduces
-    to the -i(h/2)log(...) lattice formula.
+    equation: e^{i Phi} = B with B = 2i*lam*xi1/sigma - 1 (delta) or
+    B = 1 + 2i/(lam*xi1*sigma) (delta-prime), sigma = ``pot.symbol(0, h,
+    model)``; for n = 0 this reduces to the -i(h/2)log(...) lattice formula.
     """
     xi1 = math.sqrt(max(1e-300, 1.0 - (n / lam) ** 2))
+    sigma = pot.symbol(0.0, h, model)
     if model is Model.DELTA:
-        big_b = 2j * lam * xi1 * h ** pot.alpha / pot.V0 - 1.0
+        big_b = 2j * lam * xi1 / sigma - 1.0
     else:
-        big_b = 1.0 + 2j * h ** (-pot.alpha) / (lam * xi1 * pot.V0)
+        big_b = 1.0 + 2j / (lam * xi1 * sigma)
     displacement = -1j * cmath.log(big_b) / (2.0 * xi1)
     return h * (lam + displacement)
 
@@ -253,19 +253,21 @@ def check_window(h: float, window) -> None:
                          f"with HI/h at most {specfun.REGION_RE_MAX:g}")
 
 
-def delta_resonance(n: int, k: int, h: float, pot: PotentialSpec,
-                    window=DEFAULT_WINDOW) -> ResonanceCandidate:
-    """Resonance of the delta barrier for mode (n, k); requires alpha < 1."""
-    check_alpha(pot, Model.DELTA)
-    return _solve_mode(n, k, h, pot, Model.DELTA, window)
+def _check_inputs(h: float, pot: PotentialSpec, model: Model, window) -> None:
+    """The oracle's entry checks, each raising ValueError: h in (0, 1), alpha, window."""
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"h must lie in (0, 1), got {h}")
+    check_alpha(pot, model)
+    check_window(h, window)
 
 
-def delta_prime_resonance(n: int, k: int, h: float, pot: PotentialSpec,
-                          window=DEFAULT_WINDOW) -> ResonanceCandidate:
-    """Resonance of the delta-prime barrier for mode (n, k); alpha > 1/2.
+def mode_resonance(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
+                   window=DEFAULT_WINDOW) -> ResonanceCandidate:
+    """Resonance of mode (n, k), whose inputs pass ``_check_inputs`` before any
+    Bessel call; a root outside the window raises WindowMissError.
 
-    For n = 0 the large-argument expansion J_1 H1_1 = (1 + e^{2i(lam - 3pi/4)})
-    / (pi lam) + O(lam^-2) turns F(z) = 0 into the decay law
+    For delta-prime at n = 0 the large-argument expansion J_1 H1_1 = (1 +
+    e^{2i(lam - 3pi/4)}) / (pi lam) + O(lam^-2) turns F(z) = 0 into the decay law
 
         -Im z = (h/4) log(1 + 4 h^(2-2 alpha) / (V0^2 (Re z)^2)) + O(h^2),
 
@@ -273,8 +275,8 @@ def delta_prime_resonance(n: int, k: int, h: float, pot: PotentialSpec,
     ratio to that limit is about log(1+y)/y with y = 4 h^(2-2 alpha) / V0^2,
     so at alpha near 1 it approaches 1 only slowly.
     """
-    check_alpha(pot, Model.DELTA_PRIME)
-    return _solve_mode(n, k, h, pot, Model.DELTA_PRIME, window)
+    _check_inputs(h, pot, model, window)
+    return _solve_mode(n, k, h, pot, model, window)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +292,16 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     further for higher modes); each solve keeps its root only if it lands in
     the window, and only a kept root is checked.  A root outside the window
     is skipped silently; other per-mode failures are logged and skipped,
-    never fatal.  An alpha outside the model's range (``check_alpha``) or a
-    window outside the Bessel region (``check_window``) raises ValueError
-    before any mode is tried.
+    never fatal; anchors stop at specfun.REGION_RE_MAX.  Inputs that fail
+    ``_check_inputs`` raise ValueError before any mode is tried.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"h must lie in (0, 1), got {h}")
-    check_alpha(pot, model)
-    check_window(h, window)
+    _check_inputs(h, pot, model, window)
     lo, hi = window
     if hi <= lo:
         return []
     margin = 2.0 * math.pi * h
-    lam_lo, lam_hi = max((lo - margin) / h, 1e-6), (hi + margin) / h
+    lam_lo = max((lo - margin) / h, 1e-6)
+    lam_hi = min((hi + margin) / h, specfun.REGION_RE_MAX)
     out: list[ResonanceCandidate] = []
     for n in range(n_max + 1):
         if n >= 0.995 * lam_hi:
@@ -322,10 +321,12 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
 
 
 def _dedup(cands, key, tol: float) -> list[ResonanceCandidate]:
-    """The candidates sorted by key, each dropped when it lies within tol
-    of one kept before it."""
+    """The candidates sorted by key, each dropped when it lies within tol of
+    one kept before it.  The key sorts by Re z first, so only the kept tail
+    with Re z above Re z_cand - tol can match."""
     kept: list[ResonanceCandidate] = []
     for cand in sorted(cands, key=key):
-        if not any(abs(cand.z - k.z) < tol for k in kept):
+        tail = itertools.takewhile(lambda k: cand.z.real - k.z.real < tol, reversed(kept))
+        if not any(abs(cand.z - k.z) < tol for k in tail):
             kept.append(cand)
     return kept

@@ -31,7 +31,7 @@ def test_criterion_1_delta_asymptotic_law():
     t0 = time.perf_counter()
     errs = []
     for h, k in ((0.05, 6), (0.02, 16), (0.01, 32)):
-        cand = do.delta_resonance(0, k, h, POT1)
+        cand = do.mode_resonance(0, k, h, POT1, Model.DELTA)
         target = 0.5 * h * (math.log(1.0 / h) + math.log(2.0))
         errs.append((h, abs(-cand.z.imag - target), 3.0 * h**1.75))
     ok = all(err <= tol for _, err, tol in errs)
@@ -40,7 +40,7 @@ def test_criterion_1_delta_asymptotic_law():
 
 
 def test_criterion_2_delta_prime_asymptotic_law():
-    # The two-term n = 0 law of delta_prime_resonance, to its O(h^2) remainder.
+    # The two-term delta-prime n = 0 law of mode_resonance, to its O(h^2) remainder.
     # Its ratio to the limit h^(3-2a)/V0^2 is about log(1+y)/y with
     # y = 4 h^0.2 at a = 0.9: below 0.7 at every h the Bessel region admits.
     t0 = time.perf_counter()
@@ -48,7 +48,7 @@ def test_criterion_2_delta_prime_asymptotic_law():
     rows = []
     for h in (0.02, 0.01, 0.005):
         k = round((4.0 / (math.pi * h) - 1.0) / 4.0)
-        cand = do.delta_prime_resonance(0, k, h, pot)
+        cand = do.mode_resonance(0, k, h, pot, Model.DELTA_PRIME)
         decay = -cand.z.imag
         y = 4.0 * h ** (2.0 - 2.0 * pot.alpha) / (pot.V0 * cand.z.real) ** 2
         law = 0.25 * h * math.log1p(y)

@@ -28,6 +28,15 @@ def apply_to_mode(matrix, n):
     return (matrix.entries @ v) / v
 
 
+def cosine_sum_log_weights(N):
+    """R_d = -(4 pi / N) [sum_{m=1}^{N/2-1} cos(m t_d)/m + cos(N t_d / 2)/N],
+    t_d = 2 pi d / N, summed term by term."""
+    ang = 2 * np.pi * np.arange(N) / N
+    m = np.arange(1, N // 2)
+    sums = (np.cos(np.outer(ang, m)) / m).sum(axis=1) + np.cos(0.5 * N * ang) / N
+    return -(4 * np.pi / N) * sums
+
+
 @pytest.mark.filterwarnings("ignore:stadium")
 def test_grid_weights_sum(unit_circle, ellipse21, stadium11):
     # every node carries the arclength step L/N, and the steps sum to L
@@ -77,9 +86,16 @@ def test_entries_match_per_entry_kernel(unit_circle, ellipse21, stadium11):
             speed = curve.total_length / (2 * np.pi)
             k1 = -(0.25 / np.pi) * speed * j0
             k2 = 0.25j * speed * h0 - k1 * np.log(4 * np.sin(np.pi * (i - j) / N) ** 2)
-            ref = bie._log_quadrature_weights(N)[(i - j) % N] * k1 + (2 * np.pi / N) * k2
+            ref = cosine_sum_log_weights(N)[(i - j) % N] * k1 + (2 * np.pi / N) * k2
             err = np.max(np.abs(mat.entries[i, j] - ref))
             assert err <= 1e-11 * np.max(np.abs(mat.entries))
+
+
+@pytest.mark.parametrize("N", [16, 64, 256, 1024])
+def test_log_weights_match_cosine_sums(N):
+    # the library's FFT against the cosine sums, within 1e-13 of max |R_d|
+    ref = cosine_sum_log_weights(N)
+    assert np.max(np.abs(bie._log_quadrature_weights(N) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_eigenvalue_stable_under_doubling(unit_circle):

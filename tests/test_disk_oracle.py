@@ -1,7 +1,9 @@
 """Per-mode transcendental resonances on the unit disk."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -122,10 +124,10 @@ def test_single_root_bessel_work(monkeypatch):
     # host load: 5 Newton evaluations, then the check's 8 second-derivative
     # samples
     calls = count_calls(monkeypatch, do.specfun, "bessel_quad")
-    do.delta_resonance(0, 6, 0.05, POT1)
+    do.mode_resonance(0, 6, 0.05, POT1, Model.DELTA)
     assert calls[0] == 13
     calls[0] = 0
-    do.delta_prime_resonance(0, 32, 0.01, PotentialSpec(V0=1.0, alpha=0.9))
+    do.mode_resonance(0, 32, 0.01, PotentialSpec(V0=1.0, alpha=0.9), Model.DELTA_PRIME)
     assert calls[0] == 13
 
 
@@ -135,7 +137,7 @@ def test_single_root_bessel_work(monkeypatch):
 def test_far_guess_within_one_lattice_cell(n, root):
     # these k = 0 guesses sit 2.3-2.8 eps0 from their roots, inside the
     # one-spacing reach of the Newton solve
-    assert abs(do.delta_resonance(n, 0, 0.005, POT1).z - root) < 1e-12
+    assert abs(do.mode_resonance(n, 0, 0.005, POT1, Model.DELTA).z - root) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def test_far_guess_within_one_lattice_cell(n, root):
 # ---------------------------------------------------------------------------
 
 def test_delta_resonance_reference_mode():
-    cand = do.delta_resonance(0, 6, 0.05, POT1)
+    cand = do.mode_resonance(0, 6, 0.05, POT1, Model.DELTA)
     target = 0.05 / 2 * (math.log(1 / 0.05) + math.log(2))
     assert abs(-cand.z.imag - target) <= 3 * 0.05**1.75
     assert cand.z.imag < 0
@@ -155,14 +157,14 @@ def test_delta_resonance_reference_mode():
 
 def test_delta_law_small_h():
     for h, k in ((0.05, 6), (0.02, 16), (0.01, 32)):
-        cand = do.delta_resonance(0, k, h, POT1)
+        cand = do.mode_resonance(0, k, h, POT1, Model.DELTA)
         target = h / 2 * (math.log(1 / h) + math.log(2))
         assert abs(-cand.z.imag - target) <= 3 * h**1.75
 
 
 def test_delta_root_locally_unique(rng):
     h = 0.05
-    base = do.delta_resonance(0, 6, h, POT1).z
+    base = do.mode_resonance(0, 6, h, POT1, Model.DELTA).z
     f = do.mode_equation(0, h, POT1, Model.DELTA)
     for _ in range(8):
         angle = rng.uniform(0, 2 * math.pi)
@@ -173,15 +175,16 @@ def test_delta_root_locally_unique(rng):
 
 def test_delta_alpha_guard():
     with pytest.raises(ValueError):
-        do.delta_resonance(0, 6, 0.05, PotentialSpec(V0=1.0, alpha=1.0))
+        do.mode_resonance(0, 6, 0.05, PotentialSpec(V0=1.0, alpha=1.0), Model.DELTA)
     with pytest.raises(ValueError):
-        do.delta_resonance(0, 6, 0.05,
-                           PotentialSpec(V0=1.0, alpha=0.0, profile=lambda s: 1 + 0 * s))
+        do.mode_resonance(0, 6, 0.05,
+                          PotentialSpec(V0=1.0, alpha=0.0, profile=lambda s: 1 + 0 * s),
+                          Model.DELTA)
 
 
 def test_window_miss():
     with pytest.raises(WindowMissError):
-        do.delta_resonance(0, 6, 0.05, POT1, window=(1.3, 1.5))
+        do.mode_resonance(0, 6, 0.05, POT1, Model.DELTA, window=(1.3, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def test_window_miss():
 
 def test_delta_prime_reference_mode():
     pot = PotentialSpec(V0=1.0, alpha=0.9)
-    cand = do.delta_prime_resonance(0, 32, 0.01, pot)
+    cand = do.mode_resonance(0, 32, 0.01, pot, Model.DELTA_PRIME)
     assert cand.z.imag < 0
     assert cand.residual < 1e-10
     assert independent_residual(cand, pot) < 1e-9
@@ -205,7 +208,7 @@ def test_delta_prime_rate_approaches_inverse_square_amplitude():
         ratios = []
         for h in (0.02, 0.01, 0.005):
             k = round((4 / (math.pi * h) - 1) / 4)
-            cand = do.delta_prime_resonance(0, k, h, pot)
+            cand = do.mode_resonance(0, k, h, pot, Model.DELTA_PRIME)
             ratios.append(-cand.z.imag / h ** (3 - 2 * alpha))
         assert ratios[0] < ratios[1] < ratios[2] < 1.0
         assert (0.7 <= ratios[2] <= 1.3) == within_30pct
@@ -213,7 +216,7 @@ def test_delta_prime_rate_approaches_inverse_square_amplitude():
 
 def test_delta_prime_alpha_guard():
     with pytest.raises(ValueError):
-        do.delta_prime_resonance(0, 16, 0.02, PotentialSpec(V0=1.0, alpha=0.4))
+        do.mode_resonance(0, 16, 0.02, PotentialSpec(V0=1.0, alpha=0.4), Model.DELTA_PRIME)
 
 
 @pytest.mark.parametrize("model, alpha", [(Model.DELTA, 1.0), (Model.DELTA, 1.2),
@@ -240,6 +243,21 @@ def test_mode_sweep_rejects_a_window_not_finite_in_lambda(window, h, monkeypatch
     monkeypatch.setattr(do, "_solve_mode", no_solve)
     with pytest.raises(ValueError, match="finite"):
         do.mode_sweep(h, POT1, Model.DELTA, 2, window=window)
+
+
+@pytest.mark.parametrize("h, window", [(-0.05, do.DEFAULT_WINDOW), (1.5, do.DEFAULT_WINDOW),
+                                       (0.05, (math.nan, 1.5)), (0.05, (0.5, math.inf)),
+                                       (0.0005, do.DEFAULT_WINDOW)])
+def test_mode_resonance_checks_inputs_before_any_bessel_call(h, window, monkeypatch):
+    # the per-mode entry makes mode_sweep's h and window checks: a bad h or a
+    # window not finite in lambda (or with HI/h = 3000 beyond the Bessel
+    # region) raises ValueError, not a Newton or window failure after solving
+    def no_bessel(*args):
+        raise AssertionError("a Bessel function was evaluated")
+
+    monkeypatch.setattr(do.specfun, "bessel_quad", no_bessel)
+    with pytest.raises(ValueError):
+        do.mode_resonance(0, 6, h, POT1, Model.DELTA, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +319,61 @@ def test_mode_sweep_collects_failures_quietly(caplog):
     # near-glancing modes are skipped with a warning, never fatally
     out = do.mode_sweep(0.1, POT1, Model.DELTA, 12, window=(0.9, 1.1))
     assert [c.provenance.n for c in out] == [1, 7, 4, 2, 0]
+
+
+@pytest.mark.parametrize("window, n_max, count", [((19.9, 19.99), 0, 3), ((19.9, 20.0), 5, 21)])
+def test_sweep_anchors_stop_at_the_bessel_region(window, n_max, count, caplog):
+    # HI/h sits just below the region's edge Re lambda = 2000, and the
+    # anchors past it could only fail with a logged region error
+    with caplog.at_level("WARNING", logger=do.logger.name):
+        out = do.mode_sweep(0.01, POT1, Model.DELTA, n_max, window=window)
+    assert len(out) == count
+    assert caplog.records == []
+
+
+def quadratic_dedup(cands, key, tol):
+    """The dedup rule in its defining form: compare with every kept candidate."""
+    kept = []
+    for cand in sorted(cands, key=key):
+        if not any(abs(cand.z - k.z) < tol for k in kept):
+            kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("key", [lambda c: (c.z.real, c.provenance.n),
+                                 lambda c: (c.z.real, c.z.imag)])
+def test_dedup_matches_the_quadratic_rule(key, rng):
+    # near-duplicate clusters, some pairs inside tol and some just outside,
+    # with ties in Re z
+    tol = 1e-8
+    for _ in range(150):
+        centers = rng.uniform(0.9, 1.1, 4) - 1j * rng.uniform(0.0, 0.1, 4)
+        zs = rng.choice(centers, 30) + tol * (rng.uniform(-1.5, 1.5, 30)
+                                              + 1j * rng.uniform(-1.5, 1.5, 30))
+        zs[::7] = zs[1::7].real + 1j * zs[::7].imag
+        cands = [do.ResonanceCandidate(z=complex(z), h=0.1, residual=0.0,
+                                       provenance=do.OracleProvenance(
+                                           n=int(n), k=0, model=Model.DELTA,
+                                           contraction=0.5, iterations=1))
+                 for z, n in zip(zs, rng.integers(0, 3, 30))]
+        ref = quadratic_dedup(cands, key, tol)
+        assert 1 < len(ref) < len(cands)
+        assert [id(c) for c in do._dedup(cands, key, tol)] == [id(c) for c in ref]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "disk_oracle_roots.json").read_text())
+
+
+@pytest.mark.parametrize("sweep", GOLDEN["sweeps"],
+                         ids=lambda s: f"{s['model']}-a{s['alpha']}-h{s['h']}")
+def test_sweep_reproduces_its_stored_roots(sweep):
+    # the roots of this sweep as the oracle returned them when the file was
+    # written: the same (n, k) modes, each within 2e-15
+    pot = PotentialSpec(V0=GOLDEN["V0"], alpha=sweep["alpha"])
+    out = do.mode_sweep(sweep["h"], pot, Model(sweep["model"]), sweep["n_max"],
+                        window=tuple(GOLDEN["window"]))
+    stored = {(n, k): complex(float.fromhex(re), float.fromhex(im))
+              for n, k, re, im in sweep["roots"]}
+    got = {(c.provenance.n, c.provenance.k): c.z for c in out}
+    assert got.keys() == stored.keys()
+    assert max(abs(got[key] - stored[key]) for key in stored) <= 2e-15
