@@ -18,5 +18,5 @@ from .disk_oracle import (  # noqa: F401
     mode_resonance,
     mode_sweep,
 )
-from .geometry import BoundaryCurve, CurveKind, SurfacePoint  # noqa: F401
+from .geometry import BoundaryCurve, CurveKind  # noqa: F401
 from .resonance_search import SearchWindow, find_resonances, refine, scan  # noqa: F401

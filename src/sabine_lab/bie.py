@@ -90,7 +90,7 @@ class NystromGrid:
                 stacklevel=2,
             )
         s = curve.total_length * np.arange(N) / N
-        points = curve.point_many(s)["position"]
+        points = curve.point_many(s)
         # grouped first, so its temporaries and the N x N arrays below do not
         # raise the peak memory together
         dist, group = _distance_groups(points)

@@ -36,6 +36,12 @@ _GLANCING_MARGIN = 1e-10
 _MIN_CHORD = 1e-10
 
 
+def _check_h(h: float) -> None:
+    """The semiclassical scale every entry point takes: h in (0, 1)."""
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"h must lie in (0, 1), got {h}")
+
+
 class Model(enum.Enum):
     """Barrier model: surface delta or its normal-derivative counterpart."""
 
@@ -248,8 +254,7 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     pass steps both.  Orbits escaping the profile support are capped at
     escape_cap_factor * log(1/h).
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"h must lie in (0, 1), got {h}")
+    _check_h(h)
     if not (0.0 < delta1 < 1.0):
         raise ValueError("delta1 must lie in (0, 1)")
     n_s, n_xi = grid
@@ -306,22 +311,23 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
 
 
 def sabine_diameter_bound(curve: BoundaryCurve, h: float, pot: PotentialSpec) -> float:
-    """Closed-form logarithmic bound from the diameter pairs (delta model).
+    """Closed-form logarithmic bound from the diameter chords (delta model).
 
-    (1/d) * [log(1/h) - (1/2) sup over diameter pairs of
+    (1/d) * [log(1/h) - (1/2) sup over diameter chords (a, b) of
     log(sigma_V(a) sigma_V(b) / 4)], in -Im z/h units.  Requires alpha < 1.
+    On a round curve with a non-constant profile the sup runs over the
+    sampled chord starts of ``BoundaryCurve.diameter``.
     """
+    _check_h(h)
     if pot.alpha >= 1.0:
         raise ValueError("diameter bound requires alpha < 1")
-    d, pairs = curve.diameter()
-    best = -math.inf
-    for pa, pb in pairs:
-        sa = float(pot.symbol(pa.s, h, Model.DELTA))
-        sb = float(pot.symbol(pb.s, h, Model.DELTA))
-        if sa > 0.0 and sb > 0.0:
-            best = max(best, math.log(sa * sb / 4.0))
-    if best == -math.inf:
+    d, starts = curve.diameter()
+    sa = pot.symbol(starts, h, Model.DELTA)
+    sb = pot.symbol(starts + 0.5 * curve.total_length, h, Model.DELTA)
+    products = (sa * sb)[(sa > 0.0) & (sb > 0.0)]
+    if not products.size:
         raise NoValidDiameterPairError(
             "potential profile vanishes on every diameter-realizing pair"
         )
-    return (math.log(1.0 / h) - 0.5 * best) / d
+    # the sup of the logs is the log of the largest product
+    return (math.log(1.0 / h) - 0.5 * math.log(float(products.max()) / 4.0)) / d

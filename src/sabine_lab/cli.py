@@ -286,7 +286,6 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
         # 2.56 lambda d nodes up to a power of two: about 5 per wavelength on a
         # boundary of length near pi d (5.12 lambda on the unit circle)
         n_nodes = min(args.quad_n, 2 ** math.ceil(math.log2(max(256.0, 2.56 * lam * diameter))))
-        n_nodes += n_nodes % 2
         grid = bie.NystromGrid.build(curve, n_nodes)
         norm = bie.operator_norm(bie.assemble_single_layer(grid, lam))
         rows.append([lam, n_nodes, norm])
@@ -301,7 +300,7 @@ def _run_opnorm_scaling(args: argparse.Namespace) -> list[str]:
 def _run_billiards(args: argparse.Namespace) -> list[str]:
     curve = BoundaryCurve.from_spec(args.curve)
     segments = billiards.iterate(curve, billiards.PhasePoint(args.s0, args.xi0), args.steps)
-    positions = curve.point_many([seg.start.s for seg in segments])["position"]
+    positions = curve.point_many([seg.start.s for seg in segments])
     rows = [[seg.start.s, seg.start.xi, x, y, seg.chord_length]
             for seg, (x, y) in zip(segments, positions)]
     _write_csv(args.out, ["s", "xi", "x", "y", "chord"], rows)
@@ -389,7 +388,6 @@ _UNIT_INTERVAL = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 _FINITE = _checked(float, math.isfinite, "be finite")
 _POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "be finite and positive")
 _COUNT = _checked(int, lambda n: n >= 1, "be at least 1")
-_NODES = _checked(int, lambda n: n >= 16, "be at least 16")
 _EVEN_NODES = _checked(int, lambda n: n >= 16 and n % 2 == 0, "be even and at least 16")
 _CURVE = _as_text(BoundaryCurve.from_spec)
 
@@ -438,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opnorm-scaling", help="layer-operator norm vs frequency")
     p.add_argument("--curve", type=_CURVE, default="circle:r=1")
     p.add_argument("--lambdas", type=_as_text(_parse_lambdas), default="50,100,200,400,800")
-    p.add_argument("--quad-N", type=_NODES, default=1024, dest="quad_n", help="node-count cap")
+    p.add_argument("--quad-N", type=_EVEN_NODES, default=1024, dest="quad_n",
+                   help="node-count cap")
     p.add_argument("--out", default="out.csv")
 
     p = sub.add_parser("billiards", help="emit a billiard orbit as CSV")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import specfun
-from .billiards import Model, PotentialSpec
+from .billiards import Model, PotentialSpec, _check_h
 from .errors import NewtonConditionError, NewtonConvergenceError, SabineLabError, WindowMissError
 
 logger = logging.getLogger(__name__)
@@ -255,8 +255,7 @@ def check_window(h: float, window) -> None:
 
 def _check_inputs(h: float, pot: PotentialSpec, model: Model, window) -> None:
     """The oracle's entry checks, each raising ValueError: h in (0, 1), alpha, window."""
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"h must lie in (0, 1), got {h}")
+    _check_h(h)
     check_alpha(pot, model)
     check_window(h, window)
 

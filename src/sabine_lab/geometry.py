@@ -3,7 +3,8 @@
 Supported kinds: circle, ellipse (a >= b > 0) and the Bunimovich stadium
 (two straights of half-length l joined by semicircular caps of radius rho).
 Circle and ellipse are smooth and strictly convex; the stadium is the C^{1,1}
-case with curvature jumps at the four cap junctions.
+case with curvature jumps at the four cap junctions.  A curve gives its
+positions, its diameter chords and its ray exits, and no curvature.
 
 The stadium is the rho-neighbourhood of the segment [-l, l] x {0}: its point
 at arclength s is (c_x + rho cos phi, rho sin phi), where (c_x, 0) is the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -39,11 +39,12 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import TangentLaunchError, UnsupportedCurveKindError
 
-# relative to max(1, perimeter): the shortest travel a ray exit accepts (so a
-# boundary launch does not re-hit its own origin) and the arclength window
-# at the end of a stadium straight that carries the cap curvature
+# relative to max(1, perimeter): the shortest travel a ray exit accepts, so a
+# boundary launch does not re-hit its own origin
 _GEOMETRIC_TOL = 1e-12
 _ELLIPSE_SPLINE_INTERVALS = 4096
+# diameter-chord starts on [0, L/2) of a round curve; a multiple of 4 has L/4
+_ROUND_DIAMETER_STARTS = 1024
 # from_spec's keys of each kind, in the order its constructor takes them
 _SPEC_KEYS = {"circle": ("r",), "ellipse": ("a", "b"), "stadium": ("l", "r")}
 
@@ -52,28 +53,6 @@ class CurveKind(enum.Enum):
     CIRCLE = "circle"
     ELLIPSE = "ellipse"
     STADIUM = "stadium"
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Boundary point with its differential data at arclength s."""
-
-    s: float
-    position: np.ndarray
-    unit_tangent: np.ndarray
-    outward_normal: np.ndarray
-    curvature: float
-
-    @classmethod
-    def from_data(cls, data: dict, i: int) -> "SurfacePoint":
-        """Entry i of a point_many-style dict of point arrays."""
-        return cls(
-            s=float(data["s"][i]),
-            position=data["position"][i],
-            unit_tangent=data["tangent"][i],
-            outward_normal=data["normal"][i],
-            curvature=float(data["curvature"][i]),
-        )
 
 
 class BoundaryCurve:
@@ -314,53 +293,31 @@ class BoundaryCurve:
 
     # -- pointwise data ------------------------------------------------------
 
-    def point_at(self, s: float) -> SurfacePoint:
-        """Boundary point at arclength s (wrapped modulo total_length)."""
-        return SurfacePoint.from_data(self.point_many(np.array([float(s)])), 0)
-
-    def point_many(self, s) -> dict:
-        """Vectorized point data for an array of arclengths."""
-        s = _wrap(np.asarray(s, dtype=float), self.total_length)
-        return self._point_data(s, self._u_of_s(s))
-
-    def _point_data(self, s, u):
-        """point_many data of the points with arclength s and native parameter u."""
-        x, y, tx, ty = self._frame(u)
-        if self.kind is CurveKind.CIRCLE:
-            kap = np.full_like(s, 1.0 / self.params["radius"])
-        elif self.kind is CurveKind.ELLIPSE:
-            kap = self.params["a"] * self.params["b"] / self._speed(u) ** 3
-        else:
-            # a straight's end within eps of a junction carries the one-sided
-            # cap curvature
-            eps = _GEOMETRIC_TOL * max(1.0, self.total_length)
-            inside = np.abs(self._stadium_normal(u)[1]) < self.params["half_length"] - eps
-            kap = np.where(inside, 0.0, 1.0 / self.params["cap_radius"])
-        return {"s": s, "position": np.stack([x, y], axis=-1),
-                "tangent": np.stack([tx, ty], axis=-1),
-                "normal": np.stack([ty, -tx], axis=-1), "curvature": kap}
+    def point_many(self, s) -> np.ndarray:
+        """Boundary positions, shape (n, 2), at an array of n arclengths
+        (wrapped modulo total_length)."""
+        x, y, _, _ = self._frame(self._u_of_s(np.asarray(s, dtype=float)))
+        return np.stack([x, y], axis=-1)
 
     # -- global metrics ------------------------------------------------------
 
     def diameter(self):
-        """Largest boundary-pair distance and the realizing pairs.
+        """Largest boundary-pair distance d and the arclengths s whose chord to
+        s + L/2 has length d, as (d, starts).
 
-        Returns (d, pairs); pairs lists one representative per symmetry orbit
-        (the circle's antipodal continuum is represented by a single pair).
+        On a round curve (a circle, or an ellipse with a == b) every
+        antipodal chord has length d, and
+        starts samples [0, L/2) at _ROUND_DIAMETER_STARTS equispaced points.
+        Otherwise the one start is 0 on the ellipse (its major axis) and
+        pi rho / 2, the point (l + rho, 0), on the stadium.
         """
-        if self.kind is CurveKind.CIRCLE:
-            r = self.params["radius"]
-            pairs = [(self.point_at(0.0), self.point_at(0.5 * self.total_length))]
-            return 2.0 * r, pairs
-        if self.kind is CurveKind.ELLIPSE:
-            a = self.params["a"]
-            s_half = float(self._s_of_t(math.pi))
-            return 2.0 * a, [(self.point_at(0.0), self.point_at(s_half))]
-        l = self.params["half_length"]
-        rho = self.params["cap_radius"]
-        s_right = 0.5 * math.pi * rho                  # (l + rho, 0)
-        s_left = 1.5 * math.pi * rho + 2.0 * l         # (-l - rho, 0)
-        return 2.0 * (l + rho), [(self.point_at(s_right), self.point_at(s_left))]
+        if self.kind is CurveKind.STADIUM:
+            l, rho = self.params["half_length"], self.params["cap_radius"]
+            return 2.0 * (l + rho), np.array([0.5 * math.pi * rho])
+        a, b = ((self.params["radius"],) * 2 if self.kind is CurveKind.CIRCLE
+                else (self.params["a"], self.params["b"]))
+        n = _ROUND_DIAMETER_STARTS if a == b else 1
+        return 2.0 * a, 0.5 * self.total_length * np.arange(n) / n
 
     # -- ray tracing ---------------------------------------------------------
 
@@ -370,13 +327,12 @@ class BoundaryCurve:
     def _ray_exit_many(self, origins, directions):
         """Vectorized ray exits; origins (N,2), unit directions (N,2).
 
-        Returns (data, travel): data is the point_many dict of the exit
-        points and travel the distance to them.
+        Returns _exit's (u, travel): the native parameters of the exit points
+        and the distances to them.
         """
         o = np.asarray(origins, dtype=float)
         d = np.asarray(directions, dtype=float)
-        u, travel = self._exit(o[:, 0], o[:, 1], d[:, 0], d[:, 1])
-        return self._point_data(self._s_of_u(u), u), travel
+        return self._exit(o[:, 0], o[:, 1], d[:, 0], d[:, 1])
 
 
 def math_or_numpy(x):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bie import NystromGrid, sigma_min_boundary_operator
-from .billiards import Model, PotentialSpec, sabine_gap
+from .billiards import Model, PotentialSpec, _check_h, sabine_gap
 from .disk_oracle import BieProvenance, ResonanceCandidate, _dedup
 from .errors import NotAResonanceError, SabineLabError
 from .geometry import BoundaryCurve
@@ -46,8 +46,7 @@ class SearchWindow:
     quad_n: int
 
     def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise ValueError(f"h must lie in (0, 1), got {self.h}")
+        _check_h(self.h)
         re_lo, re_hi = self.re_range
         im_lo, im_hi = self.im_range
         if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
@@ -131,6 +130,7 @@ def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
     sets the simplex scale to its coarse cell; the caller keeps or drops the
     root by the window.
     """
+    _check_h(h)
     grid = NystromGrid.build(curve, quad_n)
     big = 1e6
     if window is not None:

@@ -17,7 +17,7 @@ from sabine_lab.errors import (
     OrbitError,
 )
 from sabine_lab.geometry import BoundaryCurve
-from sabine_lab.resonance_search import SearchWindow
+from sabine_lab.resonance_search import SearchWindow, refine
 
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
@@ -75,7 +75,7 @@ def test_step_ellipse_major_axis(ellipse21):
     assert abs(seg.end.s - ellipse21.total_length / 2) < 1e-9
     assert abs(seg.chord_length - 4.0) < 1e-12
     # brute-force ray-tracing oracle: the chord connects (2,0) to (-2,0)
-    end = ellipse21.point_at(seg.end.s).position
+    end = ellipse21.point_many([seg.end.s])[0]
     assert np.allclose(end, [-2, 0], atol=1e-9)
 
 
@@ -146,11 +146,11 @@ def test_generating_function_momenta(rng, ellipse21):
     for _ in range(50):
         q = PhasePoint(rng.uniform(0, ellipse21.total_length), rng.uniform(-0.9, 0.9))
         seg = bl.billiard_step(ellipse21, q)
-        x = ellipse21.point_at(seg.start.s)
-        y = ellipse21.point_at(seg.end.s)
-        u = (y.position - x.position) / np.linalg.norm(y.position - x.position)
-        assert abs(np.dot(u, x.unit_tangent) - seg.start.xi) < 1e-10
-        assert abs(np.dot(u, y.unit_tangent) - seg.end.xi) < 1e-10
+        x0, x1, tx0, tx1 = ellipse21._frame(ellipse21._u_of_s(seg.start.s))
+        y0, y1, ty0, ty1 = ellipse21._frame(ellipse21._u_of_s(seg.end.s))
+        u = np.array([y0 - x0, y1 - x1]) / math.hypot(y0 - x0, y1 - x1)
+        assert abs(np.dot(u, [tx0, tx1]) - seg.start.xi) < 1e-10
+        assert abs(np.dot(u, [ty0, ty1]) - seg.end.xi) < 1e-10
 
 
 def test_reversibility(rng, ellipse21):
@@ -420,15 +420,18 @@ def test_sabine_gap_rejects_empty_average(unit_circle):
             bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, n_average=n_average)
 
 
-@pytest.mark.parametrize("h", [0.0, 1.0, 2.0])
-@pytest.mark.parametrize("entry", ["sabine_gap", "SearchWindow", "mode_sweep"])
+@pytest.mark.parametrize("h", [0.0, 1.0, 2.0, -0.1, 1.5, math.nan])
+@pytest.mark.parametrize("entry", ["sabine_gap", "SearchWindow", "mode_sweep",
+                                   "sabine_diameter_bound", "refine"])
 def test_library_rejects_h_outside_unit_interval(unit_circle, entry, h):
-    # h = 0 would divide by zero in all three, and h >= 1 makes log(1/h) <= 0
+    # h = 0 would divide by zero in all five, and h >= 1 makes log(1/h) <= 0
     calls = {
         "sabine_gap": lambda: bl.sabine_gap(unit_circle, h, POT1, Model.DELTA),
         "SearchWindow": lambda: SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.02),
                                              coarse_grid=(5, 4), h=h, quad_n=64),
         "mode_sweep": lambda: mode_sweep(h, POT1, Model.DELTA, 0, window=(0.9, 1.1)),
+        "sabine_diameter_bound": lambda: bl.sabine_diameter_bound(unit_circle, h, POT1),
+        "refine": lambda: refine(1 - 0.1j, unit_circle, POT1, h, 64),
     }
     with pytest.raises(ValueError, match=r"^h must lie in \(0, 1\)"):
         calls[entry]()
@@ -462,6 +465,21 @@ def test_diameter_bound_agrees_with_gap(unit_circle):
     diam = bl.sabine_diameter_bound(unit_circle, 0.01, POT1)
     assert abs(gap - diam) <= 1e-3 * diam
     assert abs(diam - 2.64916) < 5e-4
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=1,b=1"])
+@pytest.mark.parametrize("profile", [
+    lambda s, L: 1.0 + 0.5 * np.cos(2.0 * np.pi * s / L),
+    lambda s, L: np.sin(2.0 * np.pi * s / L) ** 2,
+], ids=["1+cos/2", "sin^2"])
+def test_diameter_bound_takes_every_antipodal_chord_of_a_round_curve(spec, profile):
+    # every antipodal chord is a diameter; the sup of v(s) v(s + L/2) is 1, at
+    # s = L/4 for both profiles (the chord from s = 0 gives 0.75 and 0)
+    curve = BoundaryCurve.from_spec(spec)
+    L = curve.total_length
+    pot = PotentialSpec(V0=1.0, alpha=0.0, profile=lambda s: profile(np.asarray(s), L))
+    bound = bl.sabine_diameter_bound(curve, 0.05, pot)
+    assert abs(bound - 0.5 * (math.log(20.0) + math.log(2.0))) < 1e-12
 
 
 def test_diameter_bound_requires_support(unit_circle):

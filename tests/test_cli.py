@@ -146,6 +146,7 @@ def test_delta_prime_resonances_requires_unit_circle(tmp_path, capsys):
     (["sabine-bound", "--phase-grid", "16:x"], "--phase-grid"),
     (["resonances", "--window", "0.9:1.1:-5:-0.1", "--grid", "2:2", "--quad-N", "16"],
      "--window"),
+    (["opnorm-scaling", "--quad-N", "17"], "--quad-N"),
 ])
 def test_invalid_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
     # given on the command line or replayed from a manifest, with its values as text

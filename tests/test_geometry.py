@@ -11,29 +11,41 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from sabine_lab.errors import TangentLaunchError
-from sabine_lab.geometry import BoundaryCurve, SurfacePoint
+from sabine_lab.geometry import BoundaryCurve
+
+
+def frame(curve, s):
+    """Position, unit tangent and outward normal at arclength s."""
+    x, y, tx, ty = curve._frame(curve._u_of_s(s))
+    return np.array([x, y]), np.array([tx, ty]), np.array([ty, -tx])
 
 
 def exit_hit(curve, origin, direction):
-    """Exit point and travel of one ray from origin along a unit direction."""
-    data, travel = curve._ray_exit_many(np.reshape(origin, (1, 2)),
-                                        np.reshape(direction, (1, 2)))
-    return SurfacePoint.from_data(data, 0), float(travel[0])
+    """Exit native parameter, arclength, position and travel of one ray from
+    origin along a unit direction."""
+    u, travel = curve._ray_exit_many(np.reshape(origin, (1, 2)),
+                                     np.reshape(direction, (1, 2)))
+    x, y, _, _ = curve._frame(u)
+    return u[0], float(curve._s_of_u(u)[0]), np.array([x[0], y[0]]), float(travel[0])
 
 
 def test_circle_anchors(unit_circle):
-    p = unit_circle.point_at(0.0)
-    assert np.allclose(p.position, [1.0, 0.0], atol=1e-15)
-    assert p.curvature == 1.0
-    q = unit_circle.point_at(math.pi)
-    assert np.allclose(q.position, [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(unit_circle.point_many([0.0])[0], [1.0, 0.0], atol=1e-15)
+    assert np.allclose(unit_circle.point_many([math.pi])[0], [-1.0, 0.0], atol=1e-12)
 
 
 def test_closure(unit_circle, ellipse21, stadium11):
     for curve in (unit_circle, ellipse21, stadium11):
-        a = curve.point_at(0.0).position
-        b = curve.point_at(curve.total_length).position
+        a, b = curve.point_many([0.0, curve.total_length])
         assert np.linalg.norm(a - b) < 1e-12
+
+
+def test_point_many_returns_positions(unit_circle, ellipse21, stadium11):
+    for curve in (unit_circle, ellipse21, stadium11):
+        s = np.linspace(0, curve.total_length, 7)
+        pos = curve.point_many(s)
+        assert pos.shape == (7, 2)
+        assert np.array_equal(pos, np.stack(curve._frame(curve._u_of_s(s))[:2], axis=-1))
 
 
 def test_ellipse_builds_silently_with_closed_form_length():
@@ -46,50 +58,26 @@ def test_ellipse_builds_silently_with_closed_form_length():
         assert abs(curve.total_length - exact) < 1e-12 * exact
 
 
-def test_ellipse_curvature_matches_finite_differences(ellipse21):
-    # central finite-difference oracle on the position map
-    s0 = 0.0
-    delta = 1e-5
-    p0 = ellipse21.point_at(s0).position
-    pp = ellipse21.point_at(s0 + delta).position
-    pm = ellipse21.point_at(s0 - delta).position
-    second = (pp - 2 * p0 + pm) / delta**2
-    kappa_fd = np.linalg.norm(second)
-    analytic = ellipse21.point_at(s0).curvature
-    assert abs(analytic - 2.0) < 1e-10          # ab/b^3 at the vertex
-    assert abs(kappa_fd - analytic) < 1e-4
-
-
-def test_curvature_sign_convention(unit_circle, ellipse21, stadium11):
-    # convexity: curvature >= 0 everywhere, strictly positive when smooth
-    for curve, strict in ((unit_circle, True), (ellipse21, True), (stadium11, False)):
-        s = np.linspace(0, curve.total_length, 257)
-        kap = curve.point_many(s)["curvature"]
-        assert np.all(kap >= 0)
-        if strict:
-            assert np.all(kap > 0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(frac=st.floats(0.0, 0.9999))
 def test_tangent_normal_frames(frac):
     for curve in (BoundaryCurve.circle(1.0), BoundaryCurve.ellipse(2, 1),
                   BoundaryCurve.stadium(1, 1)):
-        p = curve.point_at(frac * curve.total_length)
-        assert abs(np.linalg.norm(p.unit_tangent) - 1) < 1e-10
-        assert abs(np.linalg.norm(p.outward_normal) - 1) < 1e-10
-        assert abs(np.dot(p.unit_tangent, p.outward_normal)) < 1e-10
+        _, tangent, normal = frame(curve, frac * curve.total_length)
+        assert abs(np.linalg.norm(tangent) - 1) < 1e-10
+        assert abs(np.linalg.norm(normal) - 1) < 1e-10
+        assert abs(np.dot(tangent, normal)) < 1e-10
         # fixed handedness: +90-degree rotation of the normal is the tangent
-        rot = np.array([-p.outward_normal[1], p.outward_normal[0]])
-        assert np.linalg.norm(rot - p.unit_tangent) < 1e-9
+        rot = np.array([-normal[1], normal[0]])
+        assert np.linalg.norm(rot - tangent) < 1e-9
 
 
 def test_arclength_property(ellipse21):
     s0 = 1.2345
-    p0 = ellipse21.point_at(s0).position
+    p0 = ellipse21.point_many([s0])[0]
     ratios = []
     for delta in (1e-6, 1e-5, 1e-4, 1e-3):
-        p1 = ellipse21.point_at(s0 + delta).position
+        p1 = ellipse21.point_many([s0 + delta])[0]
         ratios.append(np.linalg.norm(p1 - p0) / delta)
     assert all(abs(r - 1) < 1e-5 for r in ratios)
 
@@ -139,23 +127,40 @@ def test_ellipse_arclength_off_the_2to1_case(ratio):
 
 
 def test_diameter_circle(unit_circle):
-    d, pairs = unit_circle.diameter()
+    d, _ = unit_circle.diameter()
     assert d == 2.0
-    a, b = pairs[0]
-    assert abs(np.linalg.norm(a.position - b.position) - 2.0) < 1e-12
+    L = unit_circle.total_length
     # every antipodal pair realizes the diameter
-    for s in np.linspace(0, unit_circle.total_length, 37):
-        p = unit_circle.point_at(s).position
-        q = unit_circle.point_at(s + unit_circle.total_length / 2).position
+    for s in np.linspace(0, L, 37):
+        p, q = unit_circle.point_many([s, s + L / 2])
         assert abs(np.linalg.norm(p - q) - 2.0) < 1e-9
 
 
 def test_diameter_ellipse(ellipse21):
-    d, pairs = ellipse21.diameter()
+    d, starts = ellipse21.diameter()
     assert abs(d - 4.0) < 1e-12
-    a, b = pairs[0]
-    assert np.allclose(a.position, [2, 0], atol=1e-9)
-    assert np.allclose(b.position, [-2, 0], atol=1e-9)
+    assert starts.tolist() == [0.0]
+    a, b = ellipse21.point_many([starts[0], starts[0] + ellipse21.total_length / 2])
+    assert np.allclose(a, [2, 0], atol=1e-9)
+    assert np.allclose(b, [-2, 0], atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1", "circle:r=2.5", "ellipse:a=1,b=1",
+                                  "ellipse:a=2,b=1", "stadium:l=1,r=1", "stadium:l=0.3,r=2.7"])
+def test_diameter_starts_realize_the_diameter(spec):
+    # a round curve (a == b) lists its antipodal chords on [0, L/2), L/4
+    # among them; any other curve lists its one diameter chord
+    curve = BoundaryCurve.from_spec(spec)
+    d, starts = curve.diameter()
+    L = curve.total_length
+    round_curve = spec.startswith("circle") or spec == "ellipse:a=1,b=1"
+    assert starts.size == (1024 if round_curve else 1)
+    assert np.all((0.0 <= starts) & (starts < L / 2))
+    if round_curve:
+        assert np.allclose(np.diff(starts), L / 2 / starts.size, rtol=1e-12)
+        assert L / 4 in starts
+    chords = curve.point_many(starts) - curve.point_many(starts + L / 2)
+    assert np.all(np.abs(np.linalg.norm(chords, axis=1) - d) < 1e-12 * d)
 
 
 def test_diameter_stadium_brute_force(stadium11):
@@ -163,7 +168,7 @@ def test_diameter_stadium_brute_force(stadium11):
     assert abs(d - 4.0) < 1e-12
     # brute-force oracle over dense boundary pairs
     s = np.linspace(0, stadium11.total_length, 600, endpoint=False)
-    pos = stadium11.point_many(s)["position"]
+    pos = stadium11.point_many(s)
     diff = pos[:, None, :] - pos[None, :, :]
     brute = np.sqrt((diff**2).sum(-1)).max()
     assert brute <= d + 1e-12
@@ -177,22 +182,22 @@ def test_diameter_invariant_under_radius_scaling():
 
 
 def test_ray_exit_circle_diameter(unit_circle):
-    point, travel = exit_hit(unit_circle, (1.0, 0.0), (-1.0, 0.0))
-    assert np.allclose(point.position, [-1, 0], atol=1e-12)
+    _, _, position, travel = exit_hit(unit_circle, (1.0, 0.0), (-1.0, 0.0))
+    assert np.allclose(position, [-1, 0], atol=1e-12)
     assert abs(travel - 2.0) < 1e-12
 
 
 def test_ray_exit_circle_oblique(unit_circle):
     # tangential component 1/2: exit at angle 2pi/3, travel sqrt(3)
     direction = np.array([-math.sqrt(3) / 2, 0.5])
-    point, travel = exit_hit(unit_circle, (1.0, 0.0), direction)
-    assert abs(point.s - 2 * math.pi / 3) < 1e-12
+    _, s, _, travel = exit_hit(unit_circle, (1.0, 0.0), direction)
+    assert abs(s - 2 * math.pi / 3) < 1e-12
     assert abs(travel - math.sqrt(3)) < 1e-12
 
 
 def test_ray_exit_ellipse_axis(ellipse21):
-    point, travel = exit_hit(ellipse21, (2.0, 0.0), (-1.0, 0.0))
-    assert np.allclose(point.position, [-2, 0], atol=1e-10)
+    _, _, position, travel = exit_hit(ellipse21, (2.0, 0.0), (-1.0, 0.0))
+    assert np.allclose(position, [-2, 0], atol=1e-10)
     assert abs(travel - 4.0) < 1e-12
 
 
@@ -200,51 +205,40 @@ def test_ray_exit_reversal(rng, unit_circle, ellipse21, stadium11):
     for curve in (unit_circle, ellipse21, stadium11):
         for _ in range(100):
             s = rng.uniform(0, curve.total_length)
-            data = curve.point_at(s)
+            position, tangent, normal = frame(curve, s)
             xi = rng.uniform(-0.95, 0.95)
-            direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
-            out, _ = exit_hit(curve, data.position, direction)
-            back, _ = exit_hit(curve, out.position, -direction)
-            assert np.linalg.norm(back.position - data.position) < 1e-9
+            direction = xi * tangent - math.sqrt(1 - xi * xi) * normal
+            _, _, out, _ = exit_hit(curve, position, direction)
+            _, _, back, _ = exit_hit(curve, out, -direction)
+            assert np.linalg.norm(back - position) < 1e-9
 
 
 def test_ray_exit_residual_on_curve(rng, unit_circle, ellipse21, stadium11):
-    # the exit data is the boundary point at the exit arclength
+    # the frame at the exit parameter is the boundary frame at the exit arclength
     for curve in (unit_circle, ellipse21, stadium11):
         for _ in range(50):
             s = rng.uniform(0, curve.total_length)
-            data = curve.point_at(s)
+            position, tangent, normal = frame(curve, s)
             xi = rng.uniform(-0.9, 0.9)
-            direction = xi * data.unit_tangent - math.sqrt(1 - xi * xi) * data.outward_normal
-            hit, _ = exit_hit(curve, data.position, direction)
-            ref = curve.point_at(hit.s)
-            assert np.linalg.norm(hit.position - ref.position) < 1e-12
-            assert np.linalg.norm(hit.unit_tangent - ref.unit_tangent) < 1e-12
-            assert np.linalg.norm(hit.outward_normal - ref.outward_normal) < 1e-12
-            assert abs(hit.curvature - ref.curvature) < 1e-12 * max(1.0, ref.curvature)
+            direction = xi * tangent - math.sqrt(1 - xi * xi) * normal
+            u, hit_s, _, _ = exit_hit(curve, position, direction)
+            x, y, tx, ty = curve._frame(u)
+            hit = np.array([x, y]), np.array([tx, ty]), np.array([ty, -tx])
+            ref = frame(curve, hit_s)
+            assert np.linalg.norm(hit[0] - ref[0]) < 1e-12
+            assert np.linalg.norm(hit[1] - ref[1]) < 1e-12
+            assert np.linalg.norm(hit[2] - ref[2]) < 1e-12
             if curve is ellipse21:
-                x, y = hit.position
                 assert abs((x / 2) ** 2 + y**2 - 1) < 1e-12
 
 
 def test_tangent_launch_rejected(unit_circle):
-    p = unit_circle.point_at(0.3)
+    position, tangent, _ = frame(unit_circle, 0.3)
     with pytest.raises(TangentLaunchError):
-        exit_hit(unit_circle, p.position, p.unit_tangent)
+        exit_hit(unit_circle, position, tangent)
 
 
 STADIUM_SHAPES = [(1.0, 1.0), (0.3, 2.7), (5.0, 0.2), (1e-3, 1.0), (100.0, 0.01)]
-
-
-@pytest.mark.parametrize("l, rho", STADIUM_SHAPES)
-def test_stadium_junction_curvature(l, rho):
-    curve = BoundaryCurve.stadium(l, rho)
-    cap = math.pi * rho
-    for s in (0.0, cap, cap + 2.0 * l, 2.0 * cap + 2.0 * l, curve.total_length):
-        assert curve.point_at(s).curvature == 1.0 / rho
-    # straight midpoints
-    for s in (cap + l, 2.0 * cap + 3.0 * l):
-        assert curve.point_at(s).curvature == 0.0
 
 
 @pytest.mark.parametrize("l, rho", STADIUM_SHAPES)
@@ -256,9 +250,9 @@ def test_stadium_ray_exit_from_centre(l, rho):
              ((0.0, 1.0), (0.0, rho), cap + l, rho),
              ((0.0, -1.0), (0.0, -rho), 2.0 * cap + 3.0 * l, rho)]
     for direction, position, s, travel in cases:
-        point, t = exit_hit(curve, (0.0, 0.0), direction)
-        assert np.allclose(point.position, position, rtol=0.0, atol=1e-14 * (l + rho))
-        assert abs(point.s - s) < 1e-14 * curve.total_length
+        _, hit_s, hit, t = exit_hit(curve, (0.0, 0.0), direction)
+        assert np.allclose(hit, position, rtol=0.0, atol=1e-14 * (l + rho))
+        assert abs(hit_s - s) < 1e-14 * curve.total_length
         assert abs(t - travel) < 1e-14 * travel
         # the single-orbit (float) exit agrees
         u, t = curve._exit(0.0, 0.0, *direction)
@@ -292,8 +286,8 @@ def test_stadium_arclength_of_point_below_total_length(stadium11):
 def test_arclength_wraps_into_half_open_range(spec, s):
     curve = BoundaryCurve.from_spec(spec)
     s = curve.total_length if s == "L" else s
-    assert 0.0 <= curve.point_at(s).s < curve.total_length
-    assert 0.0 <= curve.point_many(np.array([s]))["s"][0] < curve.total_length
+    assert 0.0 <= curve._s_of_u(curve._u_of_s(s)) < curve.total_length
+    assert 0.0 <= curve._s_of_u(curve._u_of_s(np.array([s])))[0] < curve.total_length
 
 
 @pytest.mark.parametrize("dy", [1e-4, 1e-5, 1e-6, -1e-4, -1e-5, -1e-6])
