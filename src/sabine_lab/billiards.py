@@ -4,7 +4,9 @@ Implements the billiard ball map and the decay-rate (resonance-free region)
 bounds: the log-average of the plane-wave reflectivity of a thin delta /
 delta-prime barrier over the mean chord length along orbits, optimized over
 a phase-space grid and checked in the same pass on the finer grid that
-contains it (``sabine_gap``), and the diameter-orbit closed form.
+contains it (``sabine_gap``), and the diameter-orbit closed form.  With a
+constant barrier the grid steps one orbit per class of grid points that the
+table's symmetries map onto each other, read from the start frames.
 
 Phase points are reported in arclength s, but the map steps in each curve's
 native parameter u (see geometry), so the ellipse's arclength map runs once
@@ -29,11 +31,15 @@ from .errors import (
     GlancingInputError,
     NoValidDiameterPairError,
     OrbitError,
+    TangentLaunchError,
 )
-from .geometry import BoundaryCurve, math_or_numpy
+from .geometry import BoundaryCurve, _wrap, math_or_numpy
 
 _GLANCING_MARGIN = 1e-10
 _MIN_CHORD = 1e-10
+# two start-frame edges are images of each other when their invariants agree
+# to this fraction of the longest edge
+_SYMMETRY_TOL = 1e-13
 
 
 def _check_h(h: float) -> None:
@@ -57,6 +63,8 @@ class PhasePoint:
     xi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not abs(self.xi) < 1.0:
             raise GlancingInputError(f"|xi| = {abs(self.xi)} is not < 1")
 
@@ -106,7 +114,8 @@ class OrbitSegment:
 
 @dataclass(frozen=True)
 class SabineReport:
-    """Computed decay-rate bound with its minimizing phase point."""
+    """Computed decay-rate bound with its minimizing phase point, and the
+    number of orbits stepped at each depth."""
 
     bound: float
     minimizer: PhasePoint
@@ -115,6 +124,7 @@ class SabineReport:
     delta1: float
     n_average: int
     grid: tuple
+    orbits: int
     converged: bool
     capped: bool = False
     within_theory: bool = True
@@ -147,8 +157,10 @@ def _step(curve: BoundaryCurve, frame, xi):
     return u, arrive, dx * arrive[2] + dy * arrive[3], travel
 
 
-def _start_frame(curve: BoundaryCurve, q: PhasePoint):
-    return curve._frame(float(curve._u_of_s(q.s)))
+def _start(curve: BoundaryCurve, q: PhasePoint):
+    """q with its arclength wrapped to [0, L), and its boundary frame."""
+    q = PhasePoint(_wrap(q.s, curve.total_length), q.xi)
+    return q, curve._frame(float(curve._u_of_s(q.s)))
 
 
 def _orbit_step(curve: BoundaryCurve, q: PhasePoint, frame):
@@ -172,23 +184,23 @@ def billiard_step(curve: BoundaryCurve, q: PhasePoint) -> OrbitSegment:
     component sqrt(1 - xi^2), takes the first boundary intersection and
     projects the direction onto the arrival tangent.
     """
-    return _orbit_step(curve, q, _start_frame(curve, q))[0]
+    return _orbit_step(curve, *_start(curve, q))[0]
 
 
 def iterate(curve: BoundaryCurve, q: PhasePoint, n_steps: int) -> list[OrbitSegment]:
     """Chain n_steps billiard steps; failures carry the failing index.
 
     The orbit is carried in the curve's native parameter and reported in
-    arclength.
+    arclength, the start included, in [0, L).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    frame = _start_frame(curve, q)
+    q, frame = _start(curve, q)
     segments = []
     for index in range(n_steps):
         try:
             seg, frame = _orbit_step(curve, q, frame)
-        except (GlancingInputError, DegenerateChordError) as exc:
+        except (GlancingInputError, DegenerateChordError, TangentLaunchError) as exc:
             raise OrbitError(str(exc), index) from exc
         segments.append(seg)
         q = seg.end
@@ -225,7 +237,7 @@ def _log_reflectivity_sq(xi, sv, h: float, model: Model):
 # ---------------------------------------------------------------------------
 
 def _sup_inf(values, cap):
-    """sup over depth of the inf over the grid of values (n_average, n_s, n_xi).
+    """sup over depth of the inf over the grid of values (n_average, ...).
 
     A non-finite value is an orbit that escaped the profile support; a depth
     where every orbit escaped takes the cap.  Returns the bound, its depth
@@ -242,6 +254,60 @@ def _sup_inf(values, cap):
             bool(escaped.any()))
 
 
+def _table_maps(frame):
+    """The shift t and reflection c of the start index that the table's
+    symmetries realize on n equispaced start points with frames (x, y, tx, ty).
+
+    A shift k -> k + t (mod n) keeps xi; a reflection k -> c - k negates it.
+    Each is read from the edges k -> k + 1 between consecutive start points:
+    the edge length and its dot products with the tangents at its two ends,
+    which a reflection takes to the reversed edge with the products swapped.
+    t is the smallest divisor of n that holds (n when none does), and c the
+    first reflection below t (any other is c plus a multiple of t), or None.
+    """
+    x, y, tx, ty = frame
+    n = x.size
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    edges = np.stack([np.hypot(ex, ey), ex * tx + ey * ty,
+                      ex * np.roll(tx, -1) + ey * np.roll(ty, -1)])
+    tol = _SYMMETRY_TOL * edges[0].max()
+    k = np.arange(n)
+    # screen on the edge whose ends meet it most unequally: on a table with
+    # arcs of one radius (the stadium's caps) most edges are congruent, but
+    # the few that straddle a change of curvature are not
+    screen = int(np.argmax(abs(edges[1] - edges[2])))
+
+    def first_holding(image, index, candidates):
+        # screen every candidate on one edge, then check the whole sequence
+        candidates = np.asarray(candidates)
+        screened = np.all(abs(image[:, index(screen, candidates)] - edges[:, screen, None])
+                          <= tol, axis=0)
+        return next((int(a) for a in candidates[screened]
+                     if np.all(abs(image[:, index(k, a)] - edges) <= tol)), None)
+
+    t = first_holding(edges, lambda i, d: (i + d) % n,
+                      [d for d in range(1, n + 1) if n % d == 0])
+    c = first_holding(edges[[0, 2, 1]], lambda i, r: (r - 1 - i) % n, range(t))
+    return t, c
+
+
+def _grid_classes(n: int, m: int, t: int, c):
+    """Classes of the s-major n x m grid of (s, xi) start points under the
+    shift t and reflection c of ``_table_maps``; the xi values are symmetric,
+    so negating xi maps index j to m - 1 - j.
+
+    Returns the flat indices of the representatives, each its class's
+    smallest, and the (n, m) class of every point as an index into them.
+    """
+    k, j = np.arange(n)[:, None], np.arange(m)
+    # the smallest flat index over the shifts of (k, j), then of its mirror
+    first = k % t * m + j
+    if c is not None:
+        first = np.minimum(first, (c - k) % t * m + (m - 1 - j))
+    is_rep = first.ravel() == np.arange(n * m)
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
+
+
 def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
                delta1: float = 0.05, n_average: int = 8,
                grid: tuple = (64, 64), escape_cap_factor: float = 10.0) -> SabineReport:
@@ -253,6 +319,18 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     m sampled xi values); the sampled grid is its even-indexed points, so one
     pass steps both.  Orbits escaping the profile support are capped at
     escape_cap_factor * log(1/h).
+
+    With a constant profile an orbit's value depends only on the table's
+    geometry, so the grid points that a symmetry of the table maps onto each
+    other (``_table_maps``: a shift of the start index, which keeps xi, and
+    a reflection, which negates it) share one stepped orbit, the class's
+    first grid point, and argmin's first-index rule still picks among equal
+    values as on the full grid.  On the default grid that is 65 orbits on
+    the circle, 4,129 on a 2:1 ellipse and 8,256 on the stadium instead of
+    16,512; where images differ, the minimizer can be reported at an image,
+    such as the stadium's s - L/2.  A non-constant profile is known only where
+    it is evaluated, and the landings fall between the grid nodes, so it
+    keeps one class per grid point.
     """
     _check_h(h)
     if not (0.0 < delta1 < 1.0):
@@ -274,13 +352,17 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     m = n_xi | 1
     s = np.linspace(0.0, curve.total_length, 2 * n_s, endpoint=False)
     xi = np.linspace(-(1.0 - delta1), 1.0 - delta1, 2 * m - 1)
-    # the start points, s-major: each boundary point is mapped and framed
-    # once, then repeated over the xi values
-    frame = tuple(np.repeat(c, xi.size) for c in curve._frame(curve._u_of_s(s)))
-    cur_xi = np.tile(xi, s.size)
-    cum_chord = np.zeros(cur_xi.size)
-    cum_logr = np.zeros(cur_xi.size)
-    values = np.empty((n_average, s.size, xi.size))
+    # each boundary point is mapped and framed once; one orbit is stepped
+    # per class of the s-major grid, from its representative's s and xi
+    start = curve._frame(curve._u_of_s(s))
+    t, c = _table_maps(start) if pot.is_constant else (s.size, None)
+    reps, classes = _grid_classes(s.size, xi.size, t, c)
+    s_index, xi_index = np.divmod(reps, xi.size)
+    frame = tuple(a[s_index] for a in start)
+    cur_xi = xi[xi_index]
+    cum_chord = np.zeros(reps.size)
+    cum_logr = np.zeros(reps.size)
+    values = np.empty((n_average, reps.size))
     for depth in range(n_average):
         u, frame, cur_xi, travel = _step(curve, frame, cur_xi)
         cum_chord += travel
@@ -288,8 +370,10 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
         sv = pot.symbol(u if pot.is_constant else curve._s_of_u(u), h, model)
         cum_logr += _log_reflectivity_sq(cur_xi, sv, h, model)
         with np.errstate(invalid="ignore"):
-            values[depth] = (-cum_logr / (2.0 * cum_chord)).reshape(s.size, xi.size)
-    bound, depth, (i, j), capped = _sup_inf(values[:, ::2, ::2], cap)
+            values[depth] = -cum_logr / (2.0 * cum_chord)
+    # the sampled grid is the even-indexed view of the check grid; the check
+    # grid's inf is its representatives' inf
+    bound, depth, (i, j), capped = _sup_inf(values[:, classes[::2, ::2]], cap)
     bound2, _, _, capped2 = _sup_inf(values, cap)
     # the grids nest, so a check grid that escaped to the cap has the
     # sampled grid escaped with it
@@ -305,8 +389,9 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     )
     return SabineReport(
         bound=bound, minimizer=PhasePoint(float(s[2 * i]), float(xi[2 * j])), model=model,
-        h=h, delta1=delta1, n_average=depth + 1, grid=(n_s, m), converged=converged,
-        capped=capped, within_theory=curve.is_strictly_convex, notes=notes,
+        h=h, delta1=delta1, n_average=depth + 1, grid=(n_s, m), orbits=reps.size,
+        converged=converged, capped=capped, within_theory=curve.is_strictly_convex,
+        notes=notes,
     )
 
 

@@ -265,6 +265,7 @@ def _run_sabine_bound(args: argparse.Namespace) -> list[str]:
                                   delta1=args.delta1, n_average=args.n_average,
                                   grid=_parse_grid(args.phase_grid, 16))
     print(f"decay-rate bound (-Im z / h units): {report.bound:.6g}")
+    print(f"orbits stepped per depth:           {report.orbits}")
     if model is Model.DELTA and pot.alpha < 1.0:
         diameter_bound = billiards.sabine_diameter_bound(curve, args.h, pot)
         print(f"diameter closed form:               {diameter_bound:.6g}")

@@ -15,6 +15,7 @@ from sabine_lab.errors import (
     GlancingInputError,
     NoValidDiameterPairError,
     OrbitError,
+    TangentLaunchError,
 )
 from sabine_lab.geometry import BoundaryCurve
 from sabine_lab.resonance_search import SearchWindow, refine
@@ -106,6 +107,33 @@ def test_glancing_input_rejected(unit_circle):
         bl.billiard_step(unit_circle, PhasePoint(0.0, 1.0 - 1e-12))
     with pytest.raises(OrbitError):
         bl.iterate(unit_circle, PhasePoint(0.0, 1.0 - 1e-11), 3)
+
+
+@pytest.mark.parametrize("s0, start", [(7.0, 7.0 - 2 * math.pi), (-1.0, 2 * math.pi - 1.0),
+                                       (2 * math.pi, 0.0)])
+def test_orbit_start_reported_in_one_period(unit_circle, s0, start):
+    # the start is reported in [0, L) like every landing
+    seg = bl.billiard_step(unit_circle, PhasePoint(s0, 0.3))
+    assert seg.start.s == pytest.approx(start, abs=1e-15)
+    segs = bl.iterate(unit_circle, PhasePoint(s0, 0.3), 2)
+    assert segs[0].start == seg.start and segs[0].end == seg.end
+    assert all(0.0 <= q.s < unit_circle.total_length for q in (seg.start, seg.end))
+
+
+def test_phase_point_rejects_non_finite_s():
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            PhasePoint(s, 0.3)
+
+
+def test_tangent_launch_carries_step_index():
+    # near glancing on a cap of radius 1e-8 the chord, about 2.8e-13, is below
+    # the exit's travel tolerance: no transversal exit
+    curve = BoundaryCurve.stadium(1.0, 1e-8)
+    with pytest.raises(OrbitError, match="at orbit step 0") as info:
+        bl.iterate(curve, PhasePoint(0.5e-8 * math.pi, 1.0 - 2e-10), 3)
+    assert isinstance(info.value.__cause__, TangentLaunchError)
+    assert info.value.step_index == 0
 
 
 def test_xi_conservation_long_orbit(unit_circle):
@@ -317,7 +345,9 @@ def test_constant_profile_steps_without_arclength_map(monkeypatch):
 
 
 # (curve, model, alpha, h, bound, minimizer s, minimizer xi, depth) on the
-# default grid, as float.hex: the single nested pass keeps every bit
+# default grid, as float.hex.  The stadium's delta rows come from the orbit at
+# s - L/2 of the minimizer that the unfolded grid picked, its image under the
+# half turn; their bounds differ from it by at most 3.1e-14 relative
 GOLDEN = [
     ("circle:r=1", Model.DELTA, 0.0, 0.01, "0x1.5317d626e4a88p+1", "0x0.0p+0", "0x0.0p+0", 1),
     ("circle:r=1", Model.DELTA, 0.0, 0.05, "0x1.d83770522a3c7p+0", "0x0.0p+0", "0x0.0p+0", 1),
@@ -329,9 +359,9 @@ GOLDEN = [
      "0x0.0p+0", 7),
     ("ellipse:a=2,b=1", Model.DELTA_PRIME, 0.8, 0.05, "0x1.954748dcd4b1cp-4", "0x0.0p+0",
      "0x0.0p+0", 1),
-    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.01, "0x1.87e13e4c486a7p+0", "0x1.0b5ce1a3bb252p+3",
+    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.01, "0x1.87e13e4c486ecp+0", "0x1.9b53d14aa9c2fp+1",
      "0x1.d733333333332p-1", 7),
-    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.05, "0x1.0ebc63bd269adp+0", "0x1.0b5ce1a3bb252p+3",
+    ("stadium:l=1,r=1", Model.DELTA, 0.0, 0.05, "0x1.0ebc63bd26a3fp+0", "0x1.9b53d14aa9c2fp+1",
      "0x1.d733333333332p-1", 7),
     ("stadium:l=1,r=1", Model.DELTA_PRIME, 0.8, 0.01, "0x1.61264515197bbp-4",
      "0x1.9b53d14aa9c2fp+1", "0x1.d733333333332p-1", 7),
@@ -377,6 +407,58 @@ def test_escape_cap_from_an_orbit_off_the_sampled_grid(ellipse21):
     report = bl.sabine_gap(ellipse21, h, PotentialSpec(1.0, 0.0, profile), Model.DELTA)
     assert report.capped and not report.converged
     assert report.bound == 10.0 * math.log(1.0 / h)
+
+
+# worst relative gap between the folded bound and the full grid's over the
+# cases below, measured: 0 (circle r = 1, ellipse 1:1), 2.9e-16 (r = 2.5),
+# 9.8e-16 (2:1), 1.4e-12 (stadium 1, 1; its orbits and their s + L/2 images
+# part by rounding over 8 bounces) and 1.7e-14 (stadium 0.3, 2).  The 5:1
+# ellipse is left out: near its major axis xi grows about 98x a bounce, from
+# 6.1e-16 to 5.5e-2 in 8, so its depth-8 values there are rounding noise that
+# differs between an orbit and its image by far more than rounding
+@pytest.mark.parametrize("spec, tol", [("circle:r=1", 0.0), ("circle:r=2.5", 1e-15),
+                                       ("ellipse:a=2,b=1", 3e-15), ("ellipse:a=1,b=1", 0.0),
+                                       ("stadium:l=1,r=1", 5e-12),
+                                       ("stadium:l=0.3,r=2", 1e-13)])
+def test_constant_fold_matches_full_grid(spec, tol):
+    # a unit profile is not constant to sabine_gap, so it steps every grid point
+    curve = BoundaryCurve.from_spec(spec)
+    ones = lambda s: np.ones_like(np.asarray(s, float))
+    for model, alpha in [(Model.DELTA, 0.0), (Model.DELTA, 0.5), (Model.DELTA_PRIME, 0.8)]:
+        for h in (0.01, 0.1):
+            for grid in [(64, 64), (32, 17), (17, 33), (20, 32)]:
+                for n_average in (1, 8):
+                    kwargs = dict(grid=grid, n_average=n_average)
+                    a = bl.sabine_gap(curve, h, PotentialSpec(1.0, alpha), model, **kwargs)
+                    b = bl.sabine_gap(curve, h, PotentialSpec(1.0, alpha, ones), model, **kwargs)
+                    assert abs(a.bound - b.bound) <= tol * abs(b.bound)
+                    assert (a.converged, a.capped) == (b.converged, b.capped)
+                    assert a.orbits < b.orbits == 2 * grid[0] * (2 * (grid[1] | 1) - 1)
+
+
+@pytest.mark.parametrize("spec, varying, orbits", [
+    ("circle:r=1", False, 65), ("ellipse:a=2,b=1", False, 4_129),
+    ("stadium:l=1,r=1", False, 8_256), (f"stadium:l={math.pi / 2!r},r=1", False, 4_129),
+    ("ellipse:a=2,b=1", True, 16_512)])
+def test_orbits_stepped_per_depth(monkeypatch, spec, varying, orbits):
+    # one orbit per symmetry class of the 128 x 129 check grid: the circle's
+    # rotations and reflections leave one per |xi|, the ellipse's half turn
+    # and axis reflections four per class, the stadium's half turn two (its
+    # arclength origin puts no grid node on an axis unless pi rho is a whole
+    # number of grid steps, as at l = pi/2, rho = 1); a varying profile
+    # steps every grid point
+    steps = []
+
+    def counted(curve, frame, xi, _step=bl._step):
+        steps.append(np.size(xi))
+        return _step(curve, frame, xi)
+
+    monkeypatch.setattr(bl, "_step", counted)
+    curve = BoundaryCurve.from_spec(spec)
+    profile = (lambda s: 1.0 + 0.5 * np.cos(np.asarray(s))) if varying else None
+    report = bl.sabine_gap(curve, 0.05, PotentialSpec(1.0, 0.0, profile), Model.DELTA)
+    assert steps == [orbits] * 8
+    assert report.orbits == orbits
 
 
 @pytest.mark.parametrize("grid, sampled", [((16, 16), (16, 17)), ((16, 17), (16, 17)),

@@ -41,6 +41,7 @@ def test_sabine_bound_output(tmp_path, capsys):
     printed = capsys.readouterr().out
     match = re.search(r"bound.*?:\s*([0-9.]+)", printed)
     assert match and abs(float(match.group(1)) - 2.649) < 0.013   # 2.649 +- 0.5%
+    assert re.search(r"orbits stepped per depth:\s*65$", printed, re.MULTILINE)
     header, row = out.read_text().strip().splitlines()
     assert header == "h,model,bound,min_s,min_xi,grid,converged"
     assert row.split(",")[5] == "64x65"   # the sampled grid: the xi count is made odd
@@ -317,6 +318,18 @@ def test_billiards_orbit_csv(tmp_path):
     assert len(lines) == 5
     chords = [float(l.split(",")[4]) for l in lines[1:]]
     assert all(abs(c - 2.0) < 1e-12 for c in chords)
+
+
+@pytest.mark.parametrize("s0", ["7", "-1"])
+def test_billiards_rows_start_in_one_period(tmp_path, s0):
+    # the first row is the start, reported in [0, L) like every later row
+    out = tmp_path / "orbit.csv"
+    code = run_cli(["billiards", "--curve", "circle:r=1", "--s0", s0,
+                    "--xi0", "0.3", "--steps", "3", "--out", str(out)])
+    assert code == 0
+    s = [float(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
+    assert s[0] == pytest.approx(float(s0) % (2 * math.pi), abs=1e-15)
+    assert all(0.0 <= v < 2 * math.pi for v in s)
 
 
 @pytest.mark.filterwarnings("ignore:lambda\\*diameter")
