@@ -6,28 +6,29 @@ by spectrally accurate trigonometric quadrature weights and a smooth
 remainder handled by the trapezoid rule.  ``NystromGrid.build`` computes
 everything that does not depend on the frequency once: the distinct node
 distances and the index into them, one log-quadrature table, the circulant
-and parity flags and the diameter.  The kernel depends on a node pair only
-through its distance, so every curve takes the same path: at each frequency
-the kernel is evaluated on the distinct distances and gathered into the
-entries asked for.  The smallest singular value of the discretized
-I + G(lambda) V is the functional whose near-vanishing marks a resonance.
+and parity flags (from ``geometry.node_symmetries``) and the diameter.  The
+kernel depends on a node pair only through its distance, so every curve
+takes the same path: at each frequency the kernel is evaluated on the
+distinct distances and gathered into the entries asked for.  The smallest
+singular value of the discretized I + G(lambda) V is the functional whose
+near-vanishing marks a resonance.
 
 ``_blocks`` splits shift * I + A diag(v) into the blocks of its symmetry
 classes, whose spectra together are the operator's, by one of three paths
-chosen from the distance index and the symbol; ``_singular_values`` reads
+chosen from the grid's flags and the symbol; ``_singular_values`` reads
 every singular value from them, for sigma_min and the operator norm alike:
 
 * FFT.  When every entry depends only on (i - j) mod N, as on the circle,
   the matrix is circulant: with a constant symbol its N 1 x 1 blocks are
   the FFT of its first column, held as one diagonal, so one kernel column
   is assembled and no SVD taken.
-* Parity.  When N % 4 == 0 and the index is invariant under both
+* Parity.  When N % 4 == 0 and the nodes are invariant under both
   reflections k -> -k and k -> N/2 - k (mod N), as on any ellipse with the
   grid starting on an axis, the matrix commutes with the four-element
   reflection group.  With a reflection-symmetric symbol the N/4 + 1 rows
   r = 0 .. N/4 fold into four blocks (65/64/64/63 at N = 256).
 * Dense.  Everything else, such as the stadium (its s = 0 lies at a cap
-  junction, so its index fails the reflection test) and profiles without
+  junction, so its nodes fail the reflection test) and profiles without
   the symmetry, is one block: the whole matrix.
 """
 
@@ -45,7 +46,7 @@ from scipy.spatial.distance import pdist, squareform
 from . import specfun
 from .billiards import Model, PotentialSpec
 from .errors import RegionError
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, node_symmetries
 
 # relative gap under which two distances, or a symbol and its reflection, are equal
 _SYMMETRY_RTOL = 1e-14
@@ -61,11 +62,11 @@ class NystromGrid:
     log-quadrature table W[(i - j) mod N]: the trigonometric weight R_d with
     the trapezoid rule's log(4 sin^2(pi d / N)) term folded in.  That table
     depends only on (i - j) mod N, so the matrix is ``circulant`` exactly
-    when the integer distance index is; the flag is read from the index, not
-    from the curve kind.  ``parity`` is read from the index too: N % 4 == 0
-    and both reflections k -> -k and k -> N/2 - k (mod N) map it onto
-    itself.  Both reflections send d = (i - j) mod N to N - d, which keeps
-    the log table to rounding, so the matrix commutes with them.
+    when the shift k -> k + 1 maps the nodes onto themselves.  ``parity``
+    needs N % 4 == 0 and both reflections k -> -k and k -> N/2 - k (mod N)
+    of the nodes, which send d = (i - j) mod N to N - d and keep the log
+    table to rounding.  Both are read by ``geometry.node_symmetries`` from
+    the node frames, not from the curve kind.
     """
 
     curve: BoundaryCurve
@@ -94,17 +95,15 @@ class NystromGrid:
         # grouped first, so its temporaries and the N x N arrays below do not
         # raise the peak memory together
         dist, group = _distance_groups(points)
+        t, c = node_symmetries(curve._frame(curve._u_of_s(s)))
         w = _log_quadrature_weights(N)
         d = np.arange(1, N)
         w[1:] -= (2.0 * np.pi / N) * np.log(4.0 * np.sin(np.pi * d / N) ** 2)
         idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-        circulant = bool(np.array_equal(group, group[idx, 0]))
-        # a symmetric circulant index depends only on |i - j|, which both
-        # reflections keep, so only other grids need the N^2 comparison
-        parity = N % 4 == 0 and (circulant or all(
-            np.array_equal(group, group[np.ix_(g, g)]) for g in _reflections(N)))
+        # k -> N/2 - k is the reflection c = 0 moved by N/2, a multiple of t
+        parity = N % 4 == 0 and c == 0 and (N // 2) % t == 0
         return cls(curve=curve, N=N, s=s, points=points, dist=dist, group=group,
-                   logw=w[idx], circulant=circulant, parity=parity,
+                   logw=w[idx], circulant=t == 1, parity=parity,
                    diameter=curve.diameter()[0])
 
 
@@ -150,13 +149,6 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # widest group spans 5.6e-15 of the largest distance (6.8e-15 at 5:1).
     dist = rs[np.concatenate(([True], np.diff(rs) > _SYMMETRY_RTOL * rs[-1]))]
     return dist, squareform(np.searchsorted(dist, r, side="right"))
-
-
-def _reflections(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node maps k -> -k and k -> N/2 - k (mod N): the reflections in
-    the axis through node 0 and in the one through node N/4."""
-    k = np.arange(N)
-    return -k % N, (N // 2 - k) % N
 
 
 def _check_frequency(grid: NystromGrid, lam: complex) -> None:
@@ -231,8 +223,9 @@ def _blocks(grid: NystromGrid, entries, shift: float, sv: np.ndarray) -> list[np
     N = grid.N
     if grid.circulant and (sv == sv[0]).all():
         return [shift + sv[0] * np.fft.fft(entries(np.s_[:, 0]))]
+    k = np.arange(N)
     folded = grid.parity and all(np.abs(sv[g] - sv).max() <= _SYMMETRY_RTOL * np.abs(sv).max()
-                                 for g in _reflections(N))
+                                 for g in (-k % N, (N // 2 - k) % N))
     m = N // 4 + 1 if folded else N
     op = shift * np.eye(m, N, dtype=complex) + entries(np.s_[:m, :]) * sv[None, :]
     if not folded:

@@ -6,7 +6,7 @@ delta-prime barrier over the mean chord length along orbits, optimized over
 a phase-space grid and checked in the same pass on the finer grid that
 contains it (``sabine_gap``), and the diameter-orbit closed form.  With a
 constant barrier the grid steps one orbit per class of grid points that the
-table's symmetries map onto each other, read from the start frames.
+table's symmetries map onto each other (``geometry.node_symmetries``).
 
 Phase points are reported in arclength s, but the map steps in each curve's
 native parameter u (see geometry), so the ellipse's arclength map runs once
@@ -33,13 +33,10 @@ from .errors import (
     OrbitError,
     TangentLaunchError,
 )
-from .geometry import BoundaryCurve, _wrap, math_or_numpy
+from .geometry import BoundaryCurve, _wrap, math_or_numpy, node_symmetries
 
 _GLANCING_MARGIN = 1e-10
 _MIN_CHORD = 1e-10
-# two start-frame edges are images of each other when their invariants agree
-# to this fraction of the longest edge
-_SYMMETRY_TOL = 1e-13
 
 
 def _check_h(h: float) -> None:
@@ -254,47 +251,10 @@ def _sup_inf(values, cap):
             bool(escaped.any()))
 
 
-def _table_maps(frame):
-    """The shift t and reflection c of the start index that the table's
-    symmetries realize on n equispaced start points with frames (x, y, tx, ty).
-
-    A shift k -> k + t (mod n) keeps xi; a reflection k -> c - k negates it.
-    Each is read from the edges k -> k + 1 between consecutive start points:
-    the edge length and its dot products with the tangents at its two ends,
-    which a reflection takes to the reversed edge with the products swapped.
-    t is the smallest divisor of n that holds (n when none does), and c the
-    first reflection below t (any other is c plus a multiple of t), or None.
-    """
-    x, y, tx, ty = frame
-    n = x.size
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
-    edges = np.stack([np.hypot(ex, ey), ex * tx + ey * ty,
-                      ex * np.roll(tx, -1) + ey * np.roll(ty, -1)])
-    tol = _SYMMETRY_TOL * edges[0].max()
-    k = np.arange(n)
-    # screen on the edge whose ends meet it most unequally: on a table with
-    # arcs of one radius (the stadium's caps) most edges are congruent, but
-    # the few that straddle a change of curvature are not
-    screen = int(np.argmax(abs(edges[1] - edges[2])))
-
-    def first_holding(image, index, candidates):
-        # screen every candidate on one edge, then check the whole sequence
-        candidates = np.asarray(candidates)
-        screened = np.all(abs(image[:, index(screen, candidates)] - edges[:, screen, None])
-                          <= tol, axis=0)
-        return next((int(a) for a in candidates[screened]
-                     if np.all(abs(image[:, index(k, a)] - edges) <= tol)), None)
-
-    t = first_holding(edges, lambda i, d: (i + d) % n,
-                      [d for d in range(1, n + 1) if n % d == 0])
-    c = first_holding(edges[[0, 2, 1]], lambda i, r: (r - 1 - i) % n, range(t))
-    return t, c
-
-
 def _grid_classes(n: int, m: int, t: int, c):
     """Classes of the s-major n x m grid of (s, xi) start points under the
-    shift t and reflection c of ``_table_maps``; the xi values are symmetric,
-    so negating xi maps index j to m - 1 - j.
+    shift t and reflection c of ``node_symmetries``; the xi values are
+    symmetric, so negating xi maps index j to m - 1 - j.
 
     Returns the flat indices of the representatives, each its class's
     smallest, and the (n, m) class of every point as an index into them.
@@ -322,15 +282,16 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
 
     With a constant profile an orbit's value depends only on the table's
     geometry, so the grid points that a symmetry of the table maps onto each
-    other (``_table_maps``: a shift of the start index, which keeps xi, and
-    a reflection, which negates it) share one stepped orbit, the class's
-    first grid point, and argmin's first-index rule still picks among equal
-    values as on the full grid.  On the default grid that is 65 orbits on
-    the circle, 4,129 on a 2:1 ellipse and 8,256 on the stadium instead of
-    16,512; where images differ, the minimizer can be reported at an image,
-    such as the stadium's s - L/2.  A non-constant profile is known only where
-    it is evaluated, and the landings fall between the grid nodes, so it
-    keeps one class per grid point.
+    other (``node_symmetries`` of the start frames: a shift of the start
+    index, which keeps xi, and a reflection, which negates it) share one
+    stepped orbit, the class's first grid point, and argmin's first-index
+    rule still picks among equal values as on the full grid.  On the default
+    grid that is 65 orbits on the circle, 4,129 on a 2:1 ellipse and 8,256
+    on the stadium instead of 16,512 (65 on the circle at 512:64); where
+    images differ, the minimizer can be reported at an image, such as the
+    stadium's s - L/2.  A non-constant profile is known only where it is
+    evaluated, and the landings fall between the grid nodes, so it keeps one
+    class per grid point.
     """
     _check_h(h)
     if not (0.0 < delta1 < 1.0):
@@ -355,7 +316,7 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     # each boundary point is mapped and framed once; one orbit is stepped
     # per class of the s-major grid, from its representative's s and xi
     start = curve._frame(curve._u_of_s(s))
-    t, c = _table_maps(start) if pot.is_constant else (s.size, None)
+    t, c = node_symmetries(start) if pot.is_constant else (s.size, None)
     reps, classes = _grid_classes(s.size, xi.size, t, c)
     s_index, xi_index = np.divmod(reps, xi.size)
     frame = tuple(a[s_index] for a in start)

@@ -219,14 +219,17 @@ def _solve_mode(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
         raise WindowMissError(f"mode (n={n}, k={k}) anchors at glancing")
     f = mode_equation(n, h, pot, model)
     eps0 = math.pi * h / 4.0
-    z, fz, dfz, steps = _newton(f, mode_guess(n, lam, h, pot, model), eps0)
+    z0, (lo, hi) = mode_guess(n, lam, h, pot, model), window
+    # Newton stays in its lattice cell |z - z0| <= 4 eps0
+    if not lo - 4.0 * eps0 <= z0.real <= hi + 4.0 * eps0:
+        raise WindowMissError(f"mode (n={n}, k={k}) guess {z0:.6f} cannot reach the window")
+    z, fz, dfz, steps = _newton(f, z0, eps0)
     if abs(fz) >= _RESIDUAL_TOL:
         raise NewtonConvergenceError(f"mode (n={n}, k={k}) residual {abs(fz):.3e} "
                                      f"above {_RESIDUAL_TOL}")
     if z.imag >= 0.0:
         raise NewtonConvergenceError(f"mode (n={n}, k={k}) converged to nonnegative "
                                      f"Im z = {z.imag:.3e}")
-    lo, hi = window
     if not lo <= z.real <= hi:
         raise WindowMissError(f"mode (n={n}, k={k}) root Re z = {z.real:.6f} "
                               f"outside window [{lo}, {hi}]")
@@ -289,10 +292,12 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     Lattice anchors are enumerated over the window widened by two spacings
     (roots sit about a quarter spacing right of their anchors and shift
     further for higher modes); each solve keeps its root only if it lands in
-    the window, and only a kept root is checked.  A root outside the window
-    is skipped silently; other per-mode failures are logged and skipped,
-    never fatal; anchors stop at specfun.REGION_RE_MAX.  Inputs that fail
-    ``_check_inputs`` raise ValueError before any mode is tried.
+    the window, and only a kept root is checked; a guess farther from the
+    window than its lattice cell's radius pi h is not solved.  A root outside
+    the window is skipped silently; other per-mode failures are logged and
+    skipped, never fatal; anchors stop at specfun.REGION_RE_MAX, and modes at
+    the first glancing one, n >= 0.995 lam_hi, with one warning.  Inputs that
+    fail ``_check_inputs`` raise ValueError before any mode is tried.
     """
     _check_inputs(h, pot, model, window)
     lo, hi = window
@@ -304,8 +309,9 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     out: list[ResonanceCandidate] = []
     for n in range(n_max + 1):
         if n >= 0.995 * lam_hi:
-            logger.warning("mode n=%d is glancing/elliptic for the window; skipped", n)
-            continue
+            logger.warning("modes n=%d..%d are glancing/elliptic for the window; skipped",
+                           n, n_max)
+            break
         lam_start = max(lam_lo, n * 1.005 + 1e-9)
         k_lo = max(0, math.ceil(_phase(lam_start, n) / (2.0 * math.pi)))
         k_hi = math.floor(_phase(lam_hi, n) / (2.0 * math.pi))

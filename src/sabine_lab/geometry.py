@@ -335,6 +335,45 @@ class BoundaryCurve:
         return self._exit(o[:, 0], o[:, 1], d[:, 0], d[:, 1])
 
 
+def node_symmetries(frame):
+    """The shift t and reflection c of the index of n equispaced arclength
+    nodes, with frames (x, y, tx, ty), that the curve's symmetries realize.
+
+    A shift k -> k + t (mod n) keeps the tangent; a reflection k -> c - k
+    reverses it.  Each is read from the edges k -> k + 1: the length and the
+    dot products with the tangents at both ends, which a reflection takes to
+    the reversed edge with the products swapped.  t is the smallest divisor
+    of n that holds (n when none does), c the first reflection below t, or
+    None.  The invariants carry a few ulps of the coordinates, not of the
+    edge, so they agree to 1e-13 of the largest node radius (the curves are
+    centred at the origin); 1e-13 of an edge is below rounding at 1024 nodes.
+    """
+    x, y, tx, ty = frame
+    n = x.size
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    edges = np.stack([np.hypot(ex, ey), ex * tx + ey * ty,
+                      ex * np.roll(tx, -1) + ey * np.roll(ty, -1)])
+    tol = 1e-13 * np.hypot(x, y).max()
+    k = np.arange(n)
+    # screen on the edge whose ends meet it most unequally: on a table with
+    # arcs of one radius (the stadium's caps) most edges are congruent, but
+    # the few that straddle a change of curvature are not
+    screen = int(np.argmax(abs(edges[1] - edges[2])))
+
+    def first_holding(image, index, candidates):
+        # screen every candidate on one edge, then check the whole sequence
+        candidates = np.asarray(candidates)
+        screened = np.all(abs(image[:, index(screen, candidates)] - edges[:, screen, None])
+                          <= tol, axis=0)
+        return next((int(a) for a in candidates[screened]
+                     if np.all(abs(image[:, index(k, a)] - edges) <= tol)), None)
+
+    t = first_holding(edges, lambda i, d: (i + d) % n,
+                      [d for d in range(1, n + 1) if n % d == 0])
+    c = first_holding(edges[[0, 2, 1]], lambda i, r: (r - 1 - i) % n, range(t))
+    return t, c
+
+
 def math_or_numpy(x):
     """The module whose elementary functions suit x: numpy for an array,
     math for a float, which costs far less per call on one value."""

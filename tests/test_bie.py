@@ -280,22 +280,39 @@ def test_circulant_operator_norm_matches_dense_svd(unit_circle):
 
 @pytest.mark.filterwarnings("ignore:stadium")
 def test_circulant_flag_follows_distance_index(unit_circle, ellipse21, stadium11):
+    # the flag comes from the node maps; the index's shift invariance is
+    # what it stands for.  A map tolerance set by the edge length, not by
+    # the coordinates, falls below rounding at 512-1024 nodes and loses the
+    # circle's shift
     round_ellipse = BoundaryCurve.from_spec("ellipse:a=1,b=1")
-    for curve, circulant in ((unit_circle, True), (round_ellipse, True),
-                             (ellipse21, False), (stadium11, False)):
-        grid = bie.NystromGrid.build(curve, 64)
-        assert grid.circulant is circulant
+    circles = (unit_circle, round_ellipse, BoundaryCurve.circle(2.5), BoundaryCurve.circle(100.0))
+    cases = [(c, True) for c in circles] + [(ellipse21, False), (stadium11, False)]
+    for curve, circulant in cases:
+        for N in (64, 512, 1024):
+            grid = bie.NystromGrid.build(curve, N)
+            diagonal = (np.arange(N)[:, None] - np.arange(N)) % N
+            assert grid.circulant is circulant
+            assert np.array_equal(grid.group, grid.group[diagonal, 0]) is circulant
 
 
 @pytest.mark.filterwarnings("ignore:stadium")
 def test_parity_flag_follows_distance_index(unit_circle, ellipse21, stadium11):
     ellipse51 = BoundaryCurve.from_spec("ellipse:a=5,b=1")
-    for curve in (ellipse21, ellipse51, unit_circle):
-        for N in (64, 256, 512):
-            assert bie.NystromGrid.build(curve, N).parity
+    for curve in (ellipse21, ellipse51, unit_circle, BoundaryCurve.circle(2.5),
+                  BoundaryCurve.circle(100.0)):
+        for N in (64, 256, 512, 1024):
+            grid = bie.NystromGrid.build(curve, N)
+            assert grid.parity
+            k = np.arange(N)
+            assert all(np.array_equal(grid.group, grid.group[np.ix_(g, g)])
+                       for g in (-k % N, (N // 2 - k) % N))
         assert not bie.NystromGrid.build(curve, 66).parity   # N % 4 != 0
     # the stadium's node 0 sits at a cap junction, off both symmetry axes
-    assert not bie.NystromGrid.build(stadium11, 64).parity
+    for N in (64, 512, 1024):
+        grid = bie.NystromGrid.build(stadium11, N)
+        flip = -np.arange(N) % N
+        assert not grid.parity
+        assert not np.array_equal(grid.group, grid.group[np.ix_(flip, flip)])
 
 
 @pytest.mark.filterwarnings("ignore:stadium")

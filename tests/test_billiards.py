@@ -436,17 +436,32 @@ def test_constant_fold_matches_full_grid(spec, tol):
                     assert a.orbits < b.orbits == 2 * grid[0] * (2 * (grid[1] | 1) - 1)
 
 
-@pytest.mark.parametrize("spec, varying, orbits", [
-    ("circle:r=1", False, 65), ("ellipse:a=2,b=1", False, 4_129),
-    ("stadium:l=1,r=1", False, 8_256), (f"stadium:l={math.pi / 2!r},r=1", False, 4_129),
-    ("ellipse:a=2,b=1", True, 16_512)])
-def test_orbits_stepped_per_depth(monkeypatch, spec, varying, orbits):
-    # one orbit per symmetry class of the 128 x 129 check grid: the circle's
-    # rotations and reflections leave one per |xi|, the ellipse's half turn
-    # and axis reflections four per class, the stadium's half turn two (its
-    # arclength origin puts no grid node on an axis unless pi rho is a whole
-    # number of grid steps, as at l = pi/2, rho = 1); a varying profile
-    # steps every grid point
+def orbit_case(spec, varying, orbits, grid=(64, 64)):
+    # the default grid adds nothing to a case's id
+    label = f"{spec}-{varying}-{orbits}"
+    if grid != (64, 64):
+        label += f"-{grid[0]}:{grid[1]}"
+    return pytest.param(spec, varying, orbits, grid, id=label)
+
+
+@pytest.mark.parametrize("spec, varying, orbits, grid", [
+    orbit_case("circle:r=1", False, 65), orbit_case("ellipse:a=2,b=1", False, 4_129),
+    orbit_case("stadium:l=1,r=1", False, 8_256),
+    orbit_case(f"stadium:l={math.pi / 2!r},r=1", False, 4_129),
+    orbit_case("ellipse:a=2,b=1", True, 16_512),
+    orbit_case("circle:r=1", False, 65, (512, 64)),
+    orbit_case("ellipse:a=2,b=1", False, 16_513, (256, 64)),
+    orbit_case("stadium:l=1,r=1", False, 66_048, (512, 64))])
+def test_orbits_stepped_per_depth(monkeypatch, spec, varying, orbits, grid):
+    # one orbit per symmetry class of the 2 n_s x 129 check grid (128 x 129
+    # by default): the circle's rotations and reflections leave one per
+    # |xi|, the ellipse's half turn and axis reflections four per class, the
+    # stadium's half turn two (its arclength origin puts no grid node on an
+    # axis unless pi rho is a whole number of grid steps, as at l = pi/2,
+    # rho = 1); a varying profile steps every grid point.  The fine grids
+    # fold alike: a map tolerance set by the edge length, not by the
+    # coordinates, falls below rounding there and steps all 132,096, 66,048
+    # and 132,096 points
     steps = []
 
     def counted(curve, frame, xi, _step=bl._step):
@@ -456,7 +471,8 @@ def test_orbits_stepped_per_depth(monkeypatch, spec, varying, orbits):
     monkeypatch.setattr(bl, "_step", counted)
     curve = BoundaryCurve.from_spec(spec)
     profile = (lambda s: 1.0 + 0.5 * np.cos(np.asarray(s))) if varying else None
-    report = bl.sabine_gap(curve, 0.05, PotentialSpec(1.0, 0.0, profile), Model.DELTA)
+    report = bl.sabine_gap(curve, 0.05, PotentialSpec(1.0, 0.0, profile), Model.DELTA,
+                           grid=grid)
     assert steps == [orbits] * 8
     assert report.orbits == orbits
 

@@ -182,9 +182,14 @@ def test_delta_alpha_guard():
                           Model.DELTA)
 
 
-def test_window_miss():
+def test_window_miss(monkeypatch):
+    # the guess near 0.98 lies more than the lattice cell's radius pi h =
+    # 0.157 below the window, so Newton, which cannot leave the cell, could
+    # only miss it: the miss is raised before any Bessel call
+    calls = count_calls(monkeypatch, do.specfun, "bessel_quad")
     with pytest.raises(WindowMissError):
         do.mode_resonance(0, 6, 0.05, POT1, Model.DELTA, window=(1.3, 1.5))
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +321,15 @@ def test_sweep_certifies_only_kept_roots(monkeypatch):
 
 
 def test_mode_sweep_collects_failures_quietly(caplog):
-    # near-glancing modes are skipped with a warning, never fatally
-    out = do.mode_sweep(0.1, POT1, Model.DELTA, 12, window=(0.9, 1.1))
-    assert [c.provenance.n for c in out] == [1, 7, 4, 2, 0]
+    # near-glancing modes are skipped with a warning, never fatally: at
+    # h = 0.1 every mode from n = 18 on is glancing over the window, and a
+    # large n_max stops there with one warning that names them
+    for n_max, warned in ((12, []), (10 ** 5, ["modes n=18..100000"])):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger=do.logger.name):
+            out = do.mode_sweep(0.1, POT1, Model.DELTA, n_max, window=(0.9, 1.1))
+        assert [r.getMessage().split(" are")[0] for r in caplog.records] == warned
+        assert [c.provenance.n for c in out] == [1, 7, 4, 2, 0]
 
 
 @pytest.mark.parametrize("window, n_max, count", [((19.9, 19.99), 0, 3), ((19.9, 20.0), 5, 21)])
@@ -377,3 +388,49 @@ def test_sweep_reproduces_its_stored_roots(sweep):
     got = {(c.provenance.n, c.provenance.k): c.z for c in out}
     assert got.keys() == stored.keys()
     assert max(abs(got[key] - stored[key]) for key in stored) <= 2e-15
+
+
+# ---------------------------------------------------------------------------
+# the Sabine law root by root
+# ---------------------------------------------------------------------------
+
+# measured max of |-Im z/h - D(xi)| (1 - xi^2)^2 / h per sweep, over the
+# modes n <= 0.99 * 1.1 / h in Re z in [0.9, 1.1] (2,646 roots in all):
+#   h          0.1    0.05   0.02   0.01
+#   delta 0    0.047  0.070  0.102  0.128
+#   delta 0.5  0.073  0.070  0.071  0.068
+#   dprime 0.8 0.086  0.092  0.094  0.096
+#   dprime 0.9 0.091  0.098  0.100  0.102
+# The worst root lies near glancing, its xi within 0.025 of the sweep's
+# largest.  For delta, alpha = 0 the value still rises slowly as h falls, so
+# C holds for these h, not as a limit.
+ORBIT_AVERAGE_C = 0.15
+
+
+@pytest.mark.parametrize("model, alpha", [(Model.DELTA, 0.0), (Model.DELTA, 0.5),
+                                          (Model.DELTA_PRIME, 0.8), (Model.DELTA_PRIME, 0.9)])
+def test_each_root_decays_at_its_orbit_average(model, alpha):
+    # mode n at Re z rides the circle's orbit of tangential momentum
+    # xi = n h / Re z; the Sabine law's average over that orbit, stepped by
+    # the billiard map with the reflectivity at the root's own scale h / Re z
+    # and the window's barrier, gives its decay rate -Im z / h within
+    # C h / (1 - xi^2)^2
+    from sabine_lab.billiards import PhasePoint, _log_reflectivity_sq, iterate
+    from sabine_lab.geometry import BoundaryCurve
+    circle = BoundaryCurve.circle(1.0)
+    pot = PotentialSpec(V0=1.0, alpha=alpha)
+    for h in (0.1, 0.05, 0.02, 0.01):
+        sv = pot.symbol(0.0, h, model)
+        roots = do.mode_sweep(h, pot, model, int(0.99 * 1.1 / h), window=(0.9, 1.1))
+        assert len(roots) >= 5
+        for c in roots:
+            scale = h / c.z.real
+            xi = c.provenance.n * scale
+            chords = iterate(circle, PhasePoint(0.0, xi), 8)
+            log_r = sum(float(_log_reflectivity_sq(seg.end.xi, sv, scale, model))
+                        for seg in chords)
+            average = -log_r / (2.0 * sum(seg.chord_length for seg in chords))
+            closed = -float(_log_reflectivity_sq(xi, sv, scale, model)) / (
+                4.0 * math.sqrt(1.0 - xi * xi))
+            assert abs(average - closed) <= 1e-12 * closed
+            assert abs(-c.z.imag / h - average) <= ORBIT_AVERAGE_C * h / (1.0 - xi * xi) ** 2
