@@ -16,7 +16,9 @@ near-vanishing marks a resonance.
 ``_blocks`` splits shift * I + A diag(v) into the blocks of its symmetry
 classes, whose spectra together are the operator's, by one of three paths
 chosen from the grid's flags and the symbol; ``_singular_values`` reads
-every singular value from them, for sigma_min and the operator norm alike:
+every singular value from them, for sigma_min and the operator norm alike,
+and ``block_function`` reads one analytic scalar function of one block from
+them, for the secant polish of a root:
 
 * FFT.  When every entry depends only on (i - j) mod N, as on the circle,
   the matrix is circulant: with a constant symbol its N 1 x 1 blocks are
@@ -38,7 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -50,6 +52,8 @@ from .geometry import BoundaryCurve, node_symmetries
 
 # relative gap under which two distances, or a symbol and its reflection, are equal
 _SYMMETRY_RTOL = 1e-14
+# seed of the fixed probe vectors u, v of block_function
+_PROBE_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +155,10 @@ def _distance_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, squareform(np.searchsorted(dist, r, side="right"))
 
 
-def _check_frequency(grid: NystromGrid, lam: complex) -> None:
+def _check_frequency(grid: NystromGrid, lam: complex, stacklevel: int = 3) -> None:
     """Raise RegionError outside the validated region; warn when lambda
     under-resolves the grid.  Called first thing by each public routine, so
-    that the warning names that routine's caller."""
+    that the warning names that routine's caller (stacklevel frames up)."""
     N, d = grid.N, grid.diameter
     if lam.real <= 0:
         raise RegionError(f"frequency {lam} must have positive real part")
@@ -167,7 +171,7 @@ def _check_frequency(grid: NystromGrid, lam: complex) -> None:
         warnings.warn(
             f"lambda*diameter = {abs(lam) * d:.1f} exceeds N/4 = {N / 4:.0f}; "
             "the discretization is under-resolved (rule of thumb)",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -280,3 +284,37 @@ def sigma_min_boundary_operator(grid: NystromGrid, z: complex, h: float,
         sigma_min=float(smin),
         cond=float(smax / smin) if smin > 0 else math.inf,
     )
+
+
+def block_function(grid: NystromGrid, z: complex, h: float,
+                   pot: PotentialSpec) -> tuple[Callable[[complex], complex], complex]:
+    """An analytic scalar function of the block of I + G(w/h) V that holds
+    sigma_min at z, and its value at z.
+
+    On the FFT path the function is that block's diagonal entry; otherwise it
+    is f(w) = 1 / (u^H B(w)^-1 v) with fixed random u and v, one LU a call,
+    which has a simple zero at each simple eigenvalue of the block (S. Guttel
+    and F. Tisseur, Acta Numerica 26 (2017) 1-94).  One set of blocks at z
+    picks the block and gives f(z).
+    """
+    sv = np.asarray(pot.symbol(grid.s, h, Model.DELTA), dtype=float)
+
+    def blocks(w):
+        lam = complex(w) / h
+        _check_frequency(grid, lam, stacklevel=4)
+        return _blocks(grid, partial(_kernel_entries, grid, lam), 1.0, sv)
+
+    at_z = blocks(z)
+    i = int(np.argmin([_singular_values([b]).min() for b in at_z]))
+    if at_z[i].ndim == 1:
+        j = int(np.argmin(np.abs(at_z[i])))
+
+        def value(bs):
+            return complex(bs[i][j])
+    else:
+        m, rng = len(at_z[i]), np.random.default_rng(_PROBE_SEED)
+        u, v = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+
+        def value(bs):
+            return complex(1.0 / (u.conj() @ np.linalg.solve(bs[i], v)))
+    return (lambda w: value(blocks(w))), value(at_z)

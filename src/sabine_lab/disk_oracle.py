@@ -49,10 +49,16 @@ class OracleProvenance:
 
 @dataclass(frozen=True)
 class BieProvenance:
+    """Gate values at a boundary-integral root, its quad_N, the coarse seed
+    it was refined from, and the secant steps that polished it with the
+    last step's |dz|."""
+
     sigma_min: float
     cond: float
     quad_n: int
     start: complex
+    secant_steps: int
+    last_step: float
 
 
 @dataclass(frozen=True)

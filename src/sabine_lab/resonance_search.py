@@ -2,9 +2,14 @@
 
 A coarse rectangular scan of the complex window produces the smallest
 singular value and condition number of the discretized boundary operator at
-every node; strict local minima are polished by a derivative-free simplex
-(singular values are non-smooth at crossings), and survivors are gated by
-residual and conditioning thresholds before being reported as resonances.
+every node.  From each strict local minimum a derivative-free simplex on
+sigma_min (singular values are non-smooth at crossings) picks the root's
+basin, to a diameter of 1e-4; secant steps on an analytic scalar function of
+the symmetry block that holds sigma_min there (``bie.block_function``) then
+set the digits, to a step below 1e-12.  The polish is guarded: a step that
+leaves the basin's reach or the lower half-plane, a repeated value, the step
+cap or a failed solve drops the seed.  Survivors are gated by residual and
+conditioning thresholds before being reported as resonances.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bie import NystromGrid, sigma_min_boundary_operator
+from .bie import NystromGrid, block_function, sigma_min_boundary_operator
 from .billiards import Model, PotentialSpec, _check_h, sabine_gap
 from .disk_oracle import BieProvenance, ResonanceCandidate, _dedup
 from .errors import NotAResonanceError, SabineLabError
@@ -23,12 +28,14 @@ from .geometry import BoundaryCurve
 
 _DEDUP_TOL = 1e-6
 _STRIP_FACTOR = 8.0
-_SIMPLEX_DIAMETER = 1e-8
+_BASIN_DIAMETER = 1e-4     # the simplex only picks the root's basin
+_SECANT_TOL = 1e-12        # the polish stops at a step below this
+_SECANT_STEPS = 20
 
 
 def accept_tolerance(quad_n: int) -> float:
-    """Residual gate scaled with discretization: 1e-3 * (256 / N)."""
-    return 1e-3 * (256.0 / quad_n)
+    """Residual gate scaled with discretization: 1e-9 * (256 / N)."""
+    return 1e-9 * (256.0 / quad_n)
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,21 @@ def _local_minima(field: ScanField) -> list[complex]:
 
 def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
            quad_n: int, window: SearchWindow = None) -> ResonanceCandidate:
-    """Simplex minimization of sigma_min from a coarse-field minimum.
+    """The resonance in the basin of a coarse-field minimum: the basin by a
+    simplex on sigma_min, the digits by secant steps.
 
     The initial simplex spans about one coarse cell and a penalty wall keeps
-    the search in the seed's basin (resonances can sit a few cells apart).
-    Accepts the converged point iff sigma_min < accept_tolerance(quad_n) and
-    the condition number exceeds its reciprocal.  A window, when given, only
-    sets the simplex scale to its coarse cell; the caller keeps or drops the
-    root by the window.
+    it in the seed's basin (resonances can sit a few cells apart); it stops
+    at a diameter of 1e-4.  From its two best vertices secant steps on the
+    analytic function ``bie.block_function`` of the block that holds sigma_min
+    at the best vertex z_NM run until a step is below 1e-12.  The polish is
+    guarded: it raises NotAResonanceError when a step leaves |z - z_NM| <=
+    scale (0.6 of a coarse cell, h / 20 without a window) or the closed
+    lower half-plane, when f takes one value twice, after 20 steps, or when a
+    solve or the frequency check fails.  The polished point is accepted iff
+    sigma_min < accept_tolerance(quad_n) and the condition number exceeds its
+    reciprocal.  A window, when given, only sets the scale to its coarse
+    cell; the caller keeps or drops the root by the window.
     """
     _check_h(h)
     grid = NystromGrid.build(curve, quad_n)
@@ -161,25 +175,58 @@ def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
                 [z_start.real + scale, z_start.imag],
                 [z_start.real, z_start.imag + scale],
             ],
-            "xatol": _SIMPLEX_DIAMETER,
-            "fatol": 1e-6,
+            "xatol": _BASIN_DIAMETER,
+            "fatol": math.inf,
             "maxiter": 250,
         },
     )
-    z = complex(result.x[0], min(result.x[1], 0.0))
+    z, steps, last_step = _secant_polish(grid, result.final_simplex[0], h, pot, scale)
     conditioning = sigma_min_boundary_operator(grid, z, h, pot)
     tol = accept_tolerance(quad_n)
     if not (conditioning.sigma_min < tol and conditioning.cond > 1.0 / tol):
         raise NotAResonanceError(
-            f"local minimum at {z} fails gates: sigma_min={conditioning.sigma_min:.3e} "
+            f"polished root at {z} fails gates: sigma_min={conditioning.sigma_min:.3e} "
             f"(need < {tol:.1e}), cond={conditioning.cond:.3e} (need > {1.0 / tol:.1e})"
         )
     return ResonanceCandidate(
         z=z, h=h, residual=conditioning.sigma_min,
         provenance=BieProvenance(sigma_min=conditioning.sigma_min,
                                  cond=conditioning.cond,
-                                 quad_n=quad_n, start=complex(z_start)),
+                                 quad_n=quad_n, start=complex(z_start),
+                                 secant_steps=steps, last_step=last_step),
     )
+
+
+def _secant_polish(grid: NystromGrid, vertices: np.ndarray, h: float, pot: PotentialSpec,
+                   reach: float) -> tuple[complex, int, float]:
+    """Secant steps from the two best simplex vertices to the zero of the
+    block function picked at the best one, z_NM; returns the root, the steps
+    taken and the last |dz|.  Raises NotAResonanceError as ``refine`` says."""
+    z0, z1 = (complex(x, y) for x, y in vertices[:2])
+    z_nm = z0
+
+    def guarded(call, *args):
+        try:
+            return call(*args)
+        except (np.linalg.LinAlgError, SabineLabError) as exc:
+            raise NotAResonanceError(f"secant polish from {z_nm} failed: {exc}") from exc
+
+    f, f0 = guarded(block_function, grid, z0, h, pot)
+    f1 = guarded(f, z1)
+    for step in range(1, _SECANT_STEPS + 1):
+        if f1 == f0:
+            raise NotAResonanceError(f"secant polish from {z_nm}: f({z1}) = f({z0})")
+        dz = -f1 * (z1 - z0) / (f1 - f0)
+        z0, f0, z1 = z1, f1, z1 + dz
+        if not (abs(z1 - z_nm) <= reach and z1.imag <= 0.0):
+            raise NotAResonanceError(
+                f"secant polish from {z_nm} left its basin |z - z_NM| <= {reach:.3g} "
+                f"in Im z <= 0 at {z1}")
+        if abs(dz) < _SECANT_TOL:
+            return z1, step, abs(dz)
+        f1 = guarded(f, z1)
+    raise NotAResonanceError(
+        f"secant polish from {z_nm} took {_SECANT_STEPS} steps without |dz| < {_SECANT_TOL:g}")
 
 
 def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSpec,

@@ -27,6 +27,23 @@ def check(num: int, ok: bool, detail: str, elapsed: float, budget: float):
     assert in_time, f"criterion {num}: runtime {elapsed:.1f}s over budget {budget}s"
 
 
+def _count_search_work(monkeypatch):
+    """Lists that collect each sigma_min evaluation and each evaluation of a
+    polish's block function (its construction at the best vertex included)."""
+    evals, polish = [], []
+    sigma_min, block_function = rs.sigma_min_boundary_operator, rs.block_function
+
+    def counted_block_function(*a):
+        f, f_z = block_function(*a)
+        polish.append(a[1])
+        return (lambda w: polish.append(w) or f(w)), f_z
+
+    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
+                        lambda *a: evals.append(a) or sigma_min(*a))
+    monkeypatch.setattr(rs, "block_function", counted_block_function)
+    return evals, polish
+
+
 def test_criterion_1_delta_asymptotic_law():
     t0 = time.perf_counter()
     errs = []
@@ -96,10 +113,7 @@ def test_criterion_4_operator_norm_exponent():
 def test_criterion_5_oracle_bie_equivalence(monkeypatch):
     t0 = time.perf_counter()
     # the work is counted exactly, as in criterion 6
-    evals = []
-    sigma_min = rs.sigma_min_boundary_operator
-    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
-                        lambda *a: evals.append(a) or sigma_min(*a))
+    evals, polish = _count_search_work(monkeypatch)
     circle = BoundaryCurve.circle(1.0)
     h = 0.1
     oracle = do.mode_sweep(h, POT1, Model.DELTA, 8, window=(0.9, 1.1))
@@ -108,13 +122,14 @@ def test_criterion_5_oracle_bie_equivalence(monkeypatch):
     found = rs.find_resonances(window, circle, POT1, compute_margins=False)
     matches = [min(abs(o.z - f.z) for f in found) if found else math.inf
                for o in oracle]
-    recovered = all(m < 5e-3 for m in matches)
+    recovered = all(m <= 1e-10 for m in matches)
     spurious = [f for f in found
-                if min(abs(o.z - f.z) for o in oracle) >= 5e-3]
+                if min(abs(o.z - f.z) for o in oracle) > 1e-10]
     ok = recovered and not spurious and len(found) == len(oracle)
-    ok = ok and (len(evals), len(found)) == (1843, 5)
+    ok = ok and (len(evals), len(polish), len(found)) == (1024, 41, 5)
     detail = (f"{len(oracle)} oracle roots, {len(found)} search hits (5 expected) "
-              f"from {len(evals)} sigma_min evaluations (1843 expected), "
+              f"from {len(evals)} sigma_min evaluations (1024 expected) and "
+              f"{len(polish)} polish evaluations (41 expected), "
               f"worst match {max(matches):.2e}, spurious {len(spurious)}")
     check(5, ok, detail, time.perf_counter() - t0, 300.0)
 
@@ -123,10 +138,7 @@ def test_criterion_6_sabine_gate_on_ellipse(monkeypatch):
     t0 = time.perf_counter()
     # the work is counted exactly, so the check does not rest on the
     # wall-clock budget alone, which depends on the host's load
-    evals = []
-    sigma_min = rs.sigma_min_boundary_operator
-    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
-                        lambda *a: evals.append(a) or sigma_min(*a))
+    evals, polish = _count_search_work(monkeypatch)
     ellipse = BoundaryCurve.ellipse(2.0, 1.0)
     h = 0.1
     gap = billiards.sabine_gap(ellipse, h, POT1, Model.DELTA).bound
@@ -135,9 +147,10 @@ def test_criterion_6_sabine_gate_on_ellipse(monkeypatch):
     found = rs.find_resonances(window, ellipse, POT1, compute_margins=False)
     rates = [-c.z.imag / h for c in found]
     ok = bool(found) and all(r >= gap - 0.1 for r in rates)
-    ok = ok and (len(evals), len(found)) == (2310, 14)
+    ok = ok and (len(evals), len(polish), len(found)) == (1329, 87, 14)
     detail = (f"gap={gap:.4f}; {len(found)} candidates (14 expected) from "
-              f"{len(evals)} sigma_min evaluations (2310 expected), "
+              f"{len(evals)} sigma_min evaluations (1329 expected) and "
+              f"{len(polish)} polish evaluations (87 expected), "
               f"shallowest -Im z/h = {min(rates) if rates else math.nan:.4f} "
               f">= {gap - 0.1:.4f}")
     check(6, ok, detail, time.perf_counter() - t0, 600.0)

@@ -11,6 +11,7 @@ from sabine_lab.billiards import Model, PotentialSpec
 from sabine_lab.disk_oracle import mode_sweep
 from sabine_lab.errors import RegionError
 from sabine_lab.geometry import BoundaryCurve
+from sabine_lab.resonance_search import refine
 
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
@@ -211,6 +212,35 @@ def test_under_resolution_warning_names_the_caller(spec):
         with pytest.warns(UserWarning, match="under-resolved") as record:
             call()
         assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.filterwarnings("ignore:stadium")
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+def test_block_function_warning_names_the_caller(spec):
+    grid = bie.NystromGrid.build(BoundaryCurve.from_spec(spec), 32)
+    with pytest.warns(UserWarning, match="under-resolved") as record:
+        f, _ = bie.block_function(grid, 3.0, 0.1, POT1)
+        f(3.1)
+    assert [w.filename for w in record] == [__file__, __file__]
+
+
+@pytest.mark.filterwarnings("ignore:stadium")
+@pytest.mark.parametrize("spec, seed", [("circle:r=1", 1.017 - 0.159j),
+                                         ("ellipse:a=2,b=1", 0.9825 - 0.1112j),
+                                         ("stadium:l=1,r=1", 1.0018 - 0.1158j)])
+def test_block_function_vanishes_at_a_polished_root(spec, seed):
+    # FFT, parity and dense paths: the function of the block that holds
+    # sigma_min is analytic, with a simple zero at the root
+    curve = BoundaryCurve.from_spec(spec)
+    grid = bie.NystromGrid.build(curve, 256)
+    root = refine(seed, curve, POT1, 0.1, 256).z
+    f, f_root = bie.block_function(grid, root, 0.1, POT1)
+    assert f(root) == f_root
+    # complex-differentiable: the central quotients along Re z and Im z agree
+    d = 1e-6
+    along_re, along_im = ((f(root + d * u) - f(root - d * u)) / (2 * d * u) for u in (1, 1j))
+    assert abs(along_re - along_im) < 1e-4 * abs(along_re)
+    assert abs(f_root) < 1e-10 * abs(along_re)
 
 
 def test_stadium_quadrature_warns(stadium11):

@@ -1,6 +1,8 @@
-"""Window scan, simplex refinement and acceptance gates."""
+"""Window scan, simplex basin, secant polish and acceptance gates."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,10 +79,54 @@ def test_refine_rejects_shallow_dip(unit_circle):
 def test_refinement_stable_under_quadrature_doubling(unit_circle):
     h = 0.1
     oracle = mode_sweep(h, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
-    start = oracle.z + 0.003j * 1j
     c256 = rs.refine(oracle.z + 0.002, unit_circle, POT1, h, 256)
     c512 = rs.refine(oracle.z + 0.002, unit_circle, POT1, h, 512)
-    assert abs(c512.z - c256.z) < 2e-3
+    assert abs(c512.z - c256.z) < 1e-12
+
+
+# five shallow roots of the 2:1 ellipse table (h = 0.1, delta, V0 = 1,
+# alpha = 0), which holds the simplex roots at N = 512 to about 5e-9
+_ELLIPSE_TABLE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "ellipse.json").read_text())
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4, 6])
+def test_polished_ellipse_root_converges_with_the_discretization(ellipse21, index):
+    root = complex(*_ELLIPSE_TABLE["roots"][index])
+    c256, c512 = (rs.refine(root + 1e-3, ellipse21, POT1, 0.1, n) for n in (256, 512))
+    assert abs(c512.z - c256.z) <= 1e-12
+    assert abs(c512.z - root) < 1e-8
+    for c in (c256, c512):
+        assert 1 <= c.provenance.secant_steps <= 20
+        assert c.provenance.last_step < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0.9 - 0.25j, 0.975 - 0.25j, 0.995 - 0.25j])
+def test_polish_guard_drops_seeds_far_from_a_root(unit_circle, seed):
+    # criterion 5's seeds whose simplex ends far below the window; unguarded
+    # secant steps from there can run to another root
+    w = rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.25, -0.05),
+                        coarse_grid=(41, 15), h=0.1, quad_n=256)
+    with pytest.raises(NotAResonanceError, match="left its basin"):
+        rs.refine(seed, unit_circle, POT1, 0.1, 256, window=w)
+
+
+@pytest.mark.parametrize("block_function, message", [
+    (lambda z: lambda w: 1.0 + 0.0j, "f\\(.*\\) = f\\("),
+    (lambda z: lambda w: w - z - 0.05, "left its basin"),
+    # a double zero: secant steps shrink only linearly and hit the cap
+    (lambda z: lambda w: (w - z - 1e-5) ** 2, "took 20 steps"),
+    (lambda z: lambda w: np.linalg.solve(np.zeros((2, 2)), np.ones(2)), "failed: Singular"),
+], ids=["repeated-value", "far-zero", "step-cap", "singular-solve"])
+def test_polish_guard(unit_circle, monkeypatch, block_function, message):
+    def fake(grid, z, h, pot):
+        f = block_function(z)
+        return f, f(z)
+
+    monkeypatch.setattr(rs, "block_function", fake)
+    oracle = mode_sweep(0.1, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
+    with pytest.raises(NotAResonanceError, match=message):
+        rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
 
 
 def test_find_resonances_matches_oracle(unit_circle):
