@@ -95,11 +95,12 @@ class NystromGrid:
                 stacklevel=2,
             )
         s = curve.total_length * np.arange(N) / N
-        points = curve.point_many(s)
+        frame = curve._frame(curve._u_of_s(s))
+        points = np.stack(frame[:2], axis=-1)
         # grouped first, so its temporaries and the N x N arrays below do not
         # raise the peak memory together
         dist, group = _distance_groups(points)
-        t, c = node_symmetries(curve._frame(curve._u_of_s(s)))
+        t, c = node_symmetries(frame)
         w = _log_quadrature_weights(N)
         d = np.arange(1, N)
         w[1:] -= (2.0 * np.pi / N) * np.log(4.0 * np.sin(np.pi * d / N) ** 2)

@@ -91,7 +91,7 @@ class BoundaryCurve:
                 raise ValueError("stadium requires finite positive half-length and cap "
                                  f"radius, got l={l}, r={rho}")
             self.total_length = 4.0 * l + 2.0 * math.pi * rho
-        else:  # pragma: no cover
+        else:
             raise UnsupportedCurveKindError(f"unknown curve kind {kind}")
 
     # -- constructors -------------------------------------------------------

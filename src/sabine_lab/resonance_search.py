@@ -15,7 +15,7 @@ conditioning thresholds before being reported as resonances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -105,25 +105,15 @@ def scan(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSpec) -> Scan
 
 
 def _local_minima(field: ScanField) -> list[complex]:
-    """Strict local minima of sigma_min (one-sided at window edges)."""
+    """Strict local minima of sigma_min (one-sided at window edges), in
+    row-major order; a 1 x 1 grid has none."""
     sig = field.sigma_min
-    nx, ny = sig.shape
-    out = []
-    for i in range(nx):
-        for j in range(ny):
-            val = sig[i, j]
-            neighbors = []
-            if i > 0:
-                neighbors.append(sig[i - 1, j])
-            if i < nx - 1:
-                neighbors.append(sig[i + 1, j])
-            if j > 0:
-                neighbors.append(sig[i, j - 1])
-            if j < ny - 1:
-                neighbors.append(sig[i, j + 1])
-            if neighbors and all(val < nb for nb in neighbors):
-                out.append(complex(field.re[i], field.im[j]))
-    return out
+    if sig.size == 1:
+        return []
+    pad = np.pad(sig, 1, constant_values=np.inf)
+    strict = ((sig < pad[:-2, 1:-1]) & (sig < pad[2:, 1:-1])
+              & (sig < pad[1:-1, :-2]) & (sig < pad[1:-1, 2:]))
+    return [complex(field.re[i], field.im[j]) for i, j in zip(*np.nonzero(strict))]
 
 
 def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
@@ -158,8 +148,6 @@ def refine(z_start: complex, curve: BoundaryCurve, pot: PotentialSpec, h: float,
 
     def objective(x):
         z = complex(x[0], x[1])
-        if z.imag > 0.0:
-            return big + z.imag
         if abs(z - z_start) > drift_cap:
             return big + abs(z - z_start)
         try:
@@ -252,11 +240,6 @@ def find_resonances(window: SearchWindow, curve: BoundaryCurve, pot: PotentialSp
     deduped = _dedup(accepted, lambda c: (c.z.real, c.z.imag), _DEDUP_TOL)
     if compute_margins and deduped:
         bound = sabine_gap(curve, window.h, pot, Model.DELTA).bound
-        deduped = [
-            ResonanceCandidate(
-                z=c.z, h=c.h, residual=c.residual, provenance=c.provenance,
-                sabine_margin=(-c.z.imag / window.h) - bound,
-            )
-            for c in deduped
-        ]
+        deduped = [replace(c, sabine_margin=(-c.z.imag / window.h) - bound)
+                   for c in deduped]
     return deduped

@@ -104,6 +104,8 @@ def test_iterate_near_glancing_survives(ellipse21):
 
 def test_glancing_input_rejected(unit_circle):
     with pytest.raises(GlancingInputError):
+        PhasePoint(0.0, 1.0)
+    with pytest.raises(GlancingInputError):
         bl.billiard_step(unit_circle, PhasePoint(0.0, 1.0 - 1e-12))
     with pytest.raises(OrbitError):
         bl.iterate(unit_circle, PhasePoint(0.0, 1.0 - 1e-11), 3)
@@ -118,6 +120,11 @@ def test_orbit_start_reported_in_one_period(unit_circle, s0, start):
     segs = bl.iterate(unit_circle, PhasePoint(s0, 0.3), 2)
     assert segs[0].start == seg.start and segs[0].end == seg.end
     assert all(0.0 <= q.s < unit_circle.total_length for q in (seg.start, seg.end))
+
+
+def test_iterate_requires_a_step(unit_circle):
+    with pytest.raises(ValueError, match="n_steps"):
+        bl.iterate(unit_circle, PhasePoint(0.3, 0.4), 0)
 
 
 def test_phase_point_rejects_non_finite_s():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,48 @@ def test_line_only_plot(tmp_path):
     assert b"polyline" in svg.read_bytes()
     with pytest.raises(ValueError):
         cli.emit_plot([], [], str(tmp_path / "empty.svg"))
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+@pytest.mark.parametrize("curve, window, grid, vertices", [
+    # the circle's bound at each frequency; elsewhere the flat line at -bound
+    ("circle:r=1", "1.088:1.102:-0.17:-0.13", "8:5", 64),
+    ("ellipse:a=2,b=1", "0.9701:1.0001:-0.1378:-0.0878", "4:4", 2),
+])
+def test_resonances_plot(tmp_path, curve, window, grid, vertices):
+    out, svg = tmp_path / "res.csv", tmp_path / "res.svg"
+    code = run_cli(["resonances", "--curve", curve, "--h", "0.1", "--window", window,
+                    "--grid", grid, "--quad-N", "128", "--out", str(out), "--svg", str(svg)])
+    assert code == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert rows
+    root = ET.fromstring(svg.read_bytes())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}circle")) == len(rows)
+    (polyline,) = root.findall(f"{ns}polyline")
+    points = [tuple(map(float, p.split(","))) for p in polyline.get("points").split()]
+    assert len(points) == vertices
+    if vertices == 2:
+        assert points[0][1] == points[1][1]
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    out = tmp_path / "orbit.csv"
+    code = run_cli(["billiards", "--xi0", "0.99999999999", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
+def test_module_entry_point_prints_version():
+    # the package need not be installed: point the child at the tree under test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "sabine_lab.cli", "--version"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "0.1.0"
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from sabine_lab.errors import TangentLaunchError
+from sabine_lab.errors import TangentLaunchError, UnsupportedCurveKindError
 from sabine_lab.geometry import BoundaryCurve
 
 
@@ -316,6 +316,16 @@ def test_curve_spec_parsing():
         BoundaryCurve.from_spec("hexagon:n=6")
     with pytest.raises(ValueError):
         BoundaryCurve.from_spec("circle:radius")
+    with pytest.raises(ValueError, match="gives r no number"):
+        BoundaryCurve.from_spec("circle:r=x")
+    # the constructor takes a CurveKind, not its name
+    with pytest.raises(UnsupportedCurveKindError):
+        BoundaryCurve("circle", {"radius": 1.0})
+
+
+@pytest.mark.parametrize("spec", ["circle:r=1", "ellipse:a=2,b=1", "stadium:l=1,r=1"])
+def test_describe_round_trips_the_spec(spec):
+    assert BoundaryCurve.from_spec(spec).describe() == spec
 
 
 @pytest.mark.parametrize("spec", ["circle:r=nan", "circle:r=inf", "circle:r=0",

@@ -23,6 +23,9 @@ def test_window_validation():
     with pytest.raises(ValueError):
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.1, 0.2),
                         coarse_grid=(4, 4), h=0.1, quad_n=64)
+    with pytest.raises(ValueError, match="coarse_grid"):
+        rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.1),
+                        coarse_grid=(0, 4), h=0.1, quad_n=64)
     with pytest.raises(ValueError):
         # below the logarithmic strip -8 h log(1/h) = -1.84
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-5.0, -0.1),
@@ -50,6 +53,30 @@ def test_degenerate_grid_matches_direct_call(unit_circle):
     assert field.cond[0, 0] == direct.cond
     assert field.sigma_min.shape == (1, 1)
     assert np.all(field.sigma_min >= 0)
+
+
+def _neighbour_loop_minima(sig):
+    """The reference: each node against the neighbours inside the grid."""
+    nx, ny = sig.shape
+    out = []
+    for i in range(nx):
+        for j in range(ny):
+            nbs = [sig[a, b] for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                   if 0 <= a < nx and 0 <= b < ny]
+            if nbs and all(sig[i, j] < nb for nb in nbs):
+                out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (2, 2), (5, 4), (9, 7)])
+def test_local_minima_match_the_neighbour_loop(rng, shape):
+    # one decimal makes ties, which are not strict minima
+    for _ in range(20):
+        sig = np.round(rng.uniform(0.0, 1.0, shape), 1)
+        field = rs.ScanField(re=np.arange(shape[0]) + 0.5, im=-np.arange(shape[1]) - 0.5,
+                             sigma_min=sig, cond=1.0 / (sig + 1.0))
+        expect = [complex(field.re[i], field.im[j]) for i, j in _neighbour_loop_minima(sig)]
+        assert rs._local_minima(field) == expect
 
 
 def test_resonance_free_window(unit_circle):
@@ -126,6 +153,22 @@ def test_polish_guard(unit_circle, monkeypatch, block_function, message):
     monkeypatch.setattr(rs, "block_function", fake)
     oracle = mode_sweep(0.1, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
     with pytest.raises(NotAResonanceError, match=message):
+        rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
+
+
+@pytest.mark.parametrize("skew", [
+    lambda res, tol: res._replace(sigma_min=res.sigma_min + 2.0 * tol),
+    lambda res, tol: res._replace(cond=1.0 / tol),
+], ids=["sigma-min", "cond"])
+def test_refine_gates_the_polished_root(unit_circle, monkeypatch, skew):
+    # sigma_min read high by a constant, or cond low, leaves the simplex and
+    # the polish on the root; only the final sigma_min/cond gate rejects it
+    tol = rs.accept_tolerance(128)
+    real = rs.sigma_min_boundary_operator
+    monkeypatch.setattr(rs, "sigma_min_boundary_operator",
+                        lambda *args: skew(real(*args), tol))
+    oracle = mode_sweep(0.1, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
+    with pytest.raises(NotAResonanceError, match="fails gates"):
         rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
 
 

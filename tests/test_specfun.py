@@ -173,6 +173,8 @@ def test_region_and_budget_errors():
         specfun.bessel_quad(0, 100 + 80j)
     with pytest.raises(RecurrenceBudgetError):
         specfun.bessel_quad(500, 2.0 + 0j)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        specfun.bessel_quad(-1, 5.0)
 
 
 def test_row_budget_overflow_is_reported():
