@@ -7,10 +7,11 @@ involve n only through J_n*H1_n products, which modes n and -n share.
 Each root is reached by plain Newton from a lattice initial guess
 (phase-corrected for higher modes) and must stay in that guess's lattice
 cell.  A root that lands in the window then gets one sampled contraction
-check: the Newton-Kantorovich condition for a unique root near it, with
-|F''| taken as the largest of 8 samples on a circle, not a proven bound.
-Each evaluation takes F, F' and F'' from one Bessel call at its point.
-Serves as ground truth for the boundary-integral search.
+check: the Newton-Kantorovich condition for a unique root near it, with the
+variation of F' over a disk taken as the largest of 8 samples on its
+boundary circle, not a proven bound.  Each evaluation takes F and F' from
+one Bessel call at its point.  Serves as ground truth for the
+boundary-integral search.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-10
 _DEDUP_TOL = 1e-8
-_MAX_EPS_B = 0.9             # cap on eps*b in the contraction condition
 _MAX_ITER = 100
 DEFAULT_WINDOW = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
 class OracleProvenance:
-    """Mode (n, k) of a disk root, the factor d*eps/b of its sampled contraction
+    """Mode (n, k) of a disk root, the factor L/b of its sampled contraction
     check (``_contraction_check``) and the Newton steps that reached it."""
 
     n: int
@@ -79,13 +79,13 @@ class ResonanceCandidate:
 def _newton(f, z0: complex, eps0: float):
     """Newton from the guess z0; returns the root z, F(z), F'(z) and the steps.
 
-    f(z) returns the triple (F, F', F'') at z.  eps0 is a quarter of the
-    lattice spacing of the mode's roots.  Newton takes fresh derivatives at
-    every iterate and must stay in the guess's lattice cell |z - z0| <= 4 eps0:
+    f(z) returns the pair (F, F') at z.  eps0 is a quarter of the lattice
+    spacing of the mode's roots.  Newton takes a fresh derivative at every
+    iterate and must stay in the guess's lattice cell |z - z0| <= 4 eps0:
     a path that leaves it would return a neighbouring root, so it raises
     instead.
     """
-    z, (fz, dfz, _) = z0, f(z0)
+    z, (fz, dfz) = z0, f(z0)
     steps = 0
     while abs(fz) >= 1e-14:
         if dfz == 0 or steps == _MAX_ITER:
@@ -95,50 +95,45 @@ def _newton(f, z0: complex, eps0: float):
         steps += 1
         if abs(z - z0) > 4.0 * eps0:
             raise NewtonConvergenceError(f"Newton from {z0} left its lattice cell at {z}")
-        fz, dfz, _ = f(z)
+        fz, dfz = f(z)
         if abs(step) < 1e-15 * abs(z):
             break
     return z, fz, dfz, steps
 
 
-def _second_derivative_bound(f, center: complex, eps: float) -> float:
-    """Sampled d: max |F''| over 8 points of the eps-circle, not a bound over the disk."""
-    return max(abs(f(center + eps * cmath.exp(2j * math.pi * j / 8.0))[2])
+def _derivative_variation(f, center: complex, dfz: complex, eps: float) -> float:
+    """Sampled L: max |F'(w) - F'(center)| over 8 points w of the eps-circle.
+    The maximum over the disk lies on that circle; 8 samples do not bound it."""
+    return max(abs(f(center + eps * cmath.exp(2j * math.pi * j / 8.0))[1] - dfz)
                for j in range(8))
 
 
 def _contraction_check(f, z: complex, fz: complex, dfz: complex, eps0: float) -> float:
-    """Sampled contraction check at a Newton root z; returns the factor d*eps/b.
+    """Sampled contraction check at a Newton root z; returns the factor L/b.
 
-    With a = |F(z)|, b = |F'(z)| and d from ``_second_derivative_bound``,
-    requires a + d*eps^2 < eps*b < 0.9: were d a bound on |F''| over
-    |w - z| <= eps, the frozen-derivative map w - F(w)/F'(z) would contract
-    there with factor d*eps/b, and z would be the only root in that disk.
-    The radius eps puts eps*b at 0.45, half the cap, or is eps0 if that is
-    smaller.
+    With a = |F(z)|, b = |F'(z)| and L from ``_derivative_variation``,
+    requires a + L*eps < eps*b.  The frozen-derivative map T(w) = w -
+    F(w)/F'(z) has T'(w) = (F'(z) - F'(w))/F'(z), and by the maximum-modulus
+    principle |F'(w) - F'(z)| over |w - z| <= eps peaks on the circle: were L
+    that peak, T would contract the disk into itself with factor L/b, and z
+    would be the only root in it.  The radius eps puts eps*b at 0.45, or is
+    eps0 if that is smaller.
     """
     a, b = abs(fz), abs(dfz)
-    eps = min(eps0, 0.5 * _MAX_EPS_B / b)
-    d = _second_derivative_bound(f, z, eps)
-    if not (a + d * eps * eps < eps * b < _MAX_EPS_B):
+    eps = min(eps0, 0.45 / b)
+    lip = _derivative_variation(f, z, dfz, eps)
+    if not a + lip * eps < eps * b:
         raise NewtonConditionError(f"contraction condition failed: a={a:.3e}, b={b:.3e}, "
-                                   f"d={d:.3e}, eps={eps:.3e} (need a + d*eps^2 < eps*b "
-                                   f"< {_MAX_EPS_B})")
-    return d * eps / b
+                                   f"L={lip:.3e}, eps={eps:.3e} (need a + L*eps < eps*b)")
+    return lip / b
 
 
 # ---------------------------------------------------------------------------
 # mode equations and lattice guesses
 # ---------------------------------------------------------------------------
 
-def _product_rule(u, v):
-    """(w, w', w'') of w = u v from (u, u', u'') and (v, v', v'')."""
-    return (u[0] * v[0], u[1] * v[0] + u[0] * v[1],
-            u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2])
-
-
 def mode_equation(n: int, h: float, pot: PotentialSpec, model: Model):
-    """The per-mode transcendental function as f(z) -> (F, F', F'').
+    """The per-mode transcendental function as f(z) -> (F, F').
 
     delta:       F(z) = 1 - (pi sigma / 2i) J_n(z/h) H1_n(z/h)
     delta-prime: F(z) = 1 + (pi sigma z^2 / 2i h^2) J_n'(z/h) H1_n'(z/h)
@@ -156,21 +151,16 @@ def mode_equation(n: int, h: float, pot: PotentialSpec, model: Model):
     def f(z: complex):
         lam = z / h
         ev = specfun.bessel_quad(n, lam)
-        # the factors of F and their z-derivatives (d/dz = d/dlam / h), from
-        # Bessel's equation y'' = -y'/lam + q y and its derivative in lam
+        # z-derivatives are lam-derivatives over h
+        if delta:
+            return (1.0 + coeff * (ev.J * ev.H1),
+                    coeff * (ev.Jp / h * ev.H1 + ev.J * (ev.H1p / h)))
+        # J'' and H1'' from Bessel's equation y'' = -y'/lam + q y
         q = n * n / (lam * lam) - 1.0
-        factors = []
-        for y, yp in ((ev.J, ev.Jp), (ev.H1, ev.H1p)):
-            ypp = -yp / lam + q * y
-            if delta:
-                factors.append((y, yp / h, ypp / (h * h)))
-            else:
-                yppp = -ypp / lam + yp / (lam * lam) + q * yp - 2.0 * n * n * y / lam ** 3
-                factors.append((yp, ypp / h, yppp / (h * h)))
-        p = _product_rule(*factors)
-        if not delta:
-            p = _product_rule((z * z, 2.0 * z, 2.0), p)
-        return 1.0 + coeff * p[0], coeff * p[1], coeff * p[2]
+        jpp, hpp = -ev.Jp / lam + q * ev.J, -ev.H1p / lam + q * ev.H1
+        p0, p1 = ev.Jp * ev.H1p, jpp / h * ev.H1p + ev.Jp * (hpp / h)
+        zz = z * z
+        return 1.0 + coeff * (zz * p0), coeff * (2.0 * z * p0 + zz * p1)
 
     return f
 
@@ -255,11 +245,13 @@ def check_alpha(pot: PotentialSpec, model: Model) -> None:
 
 def check_window(h: float, window) -> None:
     """The sweep's range of the window: finite, with its top frequency HI/h
-    inside the Bessel region Re lambda <= specfun.REGION_RE_MAX."""
+    inside the Bessel region Re lambda <= specfun.REGION_RE_MAX, and LO <= HI."""
     lo, hi = window
     if not (math.isfinite(lo) and hi / h <= specfun.REGION_RE_MAX):
         raise ValueError(f"window {window} at h = {h} must stay finite in lambda = z/h, "
                          f"with HI/h at most {specfun.REGION_RE_MAX:g}")
+    if not lo <= hi:
+        raise ValueError(f"window {window} must have LO <= HI")
 
 
 def _check_inputs(h: float, pot: PotentialSpec, model: Model, window) -> None:
@@ -271,8 +263,9 @@ def _check_inputs(h: float, pot: PotentialSpec, model: Model, window) -> None:
 
 def mode_resonance(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
                    window=DEFAULT_WINDOW) -> ResonanceCandidate:
-    """Resonance of mode (n, k), whose inputs pass ``_check_inputs`` before any
-    Bessel call; a root outside the window raises WindowMissError.
+    """Resonance of mode (n, k).  Before any Bessel call n and k must be
+    nonnegative integers and the other inputs pass ``_check_inputs``; a root
+    outside the window raises WindowMissError.
 
     For delta-prime at n = 0 the large-argument expansion J_1 H1_1 = (1 +
     e^{2i(lam - 3pi/4)}) / (pi lam) + O(lam^-2) turns F(z) = 0 into the decay law
@@ -283,6 +276,8 @@ def mode_resonance(n: int, k: int, h: float, pot: PotentialSpec, model: Model,
     ratio to that limit is about log(1+y)/y with y = 4 h^(2-2 alpha) / V0^2,
     so at alpha near 1 it approaches 1 only slowly.
     """
+    if not all(m >= 0 and float(m).is_integer() for m in (n, k)):
+        raise ValueError(f"mode (n={n}, k={k}) must be a pair of nonnegative integers")
     _check_inputs(h, pot, model, window)
     return _solve_mode(n, k, h, pot, model, window)
 
@@ -307,7 +302,7 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     """
     _check_inputs(h, pot, model, window)
     lo, hi = window
-    if hi <= lo:
+    if lo == hi:
         return []
     margin = 2.0 * math.pi * h
     lam_lo = max((lo - margin) / h, 1e-6)

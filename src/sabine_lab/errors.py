@@ -54,7 +54,7 @@ class RecurrenceBudgetError(SabineLabError):
 
 
 class NewtonConditionError(SabineLabError):
-    """The sampled contraction check a + d*eps^2 < eps*b < 0.9 failed at a Newton root."""
+    """The sampled contraction check a + L*eps < eps*b failed at a Newton root."""
 
 
 class NewtonConvergenceError(SabineLabError):

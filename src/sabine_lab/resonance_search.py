@@ -42,7 +42,8 @@ def accept_tolerance(quad_n: int) -> float:
 class SearchWindow:
     """Complex search rectangle in rescaled coordinates (Im z <= 0).
 
-    Both ranges must be finite, and the imaginary range must stay inside the
+    Both ranges must be finite, the real range must be positive (the Hankel
+    kernel needs Re z > 0), and the imaginary range must stay inside the
     logarithmic strip [-8 h log(1/h), 0].
     """
 
@@ -61,6 +62,8 @@ class SearchWindow:
                              "must be finite")
         if not (re_lo < re_hi):
             raise ValueError("re_range must be increasing")
+        if not re_lo > 0.0:
+            raise ValueError(f"re_range {self.re_range} must be positive")
         if not (im_lo < im_hi <= 0.0):
             raise ValueError("im_range must be increasing and nonpositive")
         strip = _STRIP_FACTOR * self.h * math.log(1.0 / self.h)

@@ -12,6 +12,7 @@ from sabine_lab import billiards as bl
 from sabine_lab.billiards import Model, PhasePoint, PotentialSpec
 from sabine_lab.disk_oracle import mode_sweep
 from sabine_lab.errors import (
+    DegenerateChordError,
     GlancingInputError,
     NoValidDiameterPairError,
     OrbitError,
@@ -141,6 +142,27 @@ def test_tangent_launch_carries_step_index():
         bl.iterate(curve, PhasePoint(0.5e-8 * math.pi, 1.0 - 2e-10), 3)
     assert isinstance(info.value.__cause__, TangentLaunchError)
     assert info.value.step_index == 0
+
+
+def test_degenerate_chord_carries_step_index(unit_circle, monkeypatch):
+    # a step whose chord falls below the geometric floor 1e-10, here the
+    # second of an orbit (a stand-in step shortens it)
+    real = bl._step
+    calls = [0]
+
+    def short_second_chord(*args):
+        calls[0] += 1
+        u, arrive, xi, chord = real(*args)
+        return u, arrive, xi, 1e-11 if calls[0] == 2 else chord
+
+    monkeypatch.setattr(bl, "_step", short_second_chord)
+    with pytest.raises(OrbitError, match="at orbit step 1") as info:
+        bl.iterate(unit_circle, PhasePoint(0.3, 0.4), 3)
+    assert isinstance(info.value.__cause__, DegenerateChordError)
+    assert info.value.step_index == 1
+    calls[0] = 1
+    with pytest.raises(DegenerateChordError, match="chord length 1.000e-11 below"):
+        bl.billiard_step(unit_circle, PhasePoint(0.3, 0.4))
 
 
 def test_xi_conservation_long_orbit(unit_circle):

@@ -102,6 +102,18 @@ def test_decreasing_oracle_window_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_resonances_window_with_nonpositive_real_part_exits_2(tmp_path, capsys):
+    # Re z <= 0 lies outside the Hankel kernel's domain: a usage error that
+    # names the flag, not a numerical failure (exit 3) once the scan starts
+    out = tmp_path / "x.csv"
+    code = run_cli(["resonances", "--window=-0.1:0.1:-0.2:-0.02", "--grid", "3:3",
+                    "--quad-N", "64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--window" in err and "must be positive" in err
+    assert not out.exists()
+
+
 def test_delta_prime_resonances_requires_circle(tmp_path, capsys):
     code = run_cli(["resonances", "--curve", "ellipse:a=2,b=1",
                     "--model", "delta-prime", "--out", str(tmp_path / "x.csv")])

@@ -11,7 +11,7 @@ from sabine_lab import bie
 from sabine_lab import resonance_search as rs
 from sabine_lab.billiards import Model, PotentialSpec
 from sabine_lab.disk_oracle import mode_sweep
-from sabine_lab.errors import NotAResonanceError
+from sabine_lab.errors import NotAResonanceError, SabineLabError
 
 POT1 = PotentialSpec(V0=1.0, alpha=0.0)
 
@@ -23,6 +23,11 @@ def test_window_validation():
     with pytest.raises(ValueError):
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.1, 0.2),
                         coarse_grid=(4, 4), h=0.1, quad_n=64)
+    for re_lo in (-0.1, 0.0):
+        # the Hankel kernel needs Re z > 0
+        with pytest.raises(ValueError, match="must be positive"):
+            rs.SearchWindow(re_range=(re_lo, 0.1), im_range=(-0.2, -0.02),
+                            coarse_grid=(3, 3), h=0.1, quad_n=64)
     with pytest.raises(ValueError, match="coarse_grid"):
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.1),
                         coarse_grid=(0, 4), h=0.1, quad_n=64)
@@ -154,6 +159,27 @@ def test_polish_guard(unit_circle, monkeypatch, block_function, message):
     oracle = mode_sweep(0.1, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
     with pytest.raises(NotAResonanceError, match=message):
         rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
+
+
+def test_simplex_steps_around_a_failed_evaluation(unit_circle, monkeypatch):
+    # sigma_min raising a library error right of the root reads as a wall to
+    # the simplex (its start vertex z + h/20 lies there); the basin and the
+    # polished root are the ones it finds without the wall
+    oracle = mode_sweep(0.1, POT1, Model.DELTA, 0, window=(1.05, 1.15))[0]
+    real = rs.sigma_min_boundary_operator
+    failed = [0]
+
+    def failing_right(grid, z, h, pot):
+        if z.real > oracle.z.real + 0.004:
+            failed[0] += 1
+            raise SabineLabError("stand-in failure")
+        return real(grid, z, h, pot)
+
+    free = rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
+    monkeypatch.setattr(rs, "sigma_min_boundary_operator", failing_right)
+    walled = rs.refine(oracle.z + 0.002, unit_circle, POT1, 0.1, 128)
+    assert failed[0] >= 1
+    assert abs(walled.z - free.z) < 1e-12
 
 
 @pytest.mark.parametrize("skew", [
