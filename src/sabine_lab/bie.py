@@ -46,7 +46,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from . import specfun
-from .billiards import Model, PotentialSpec
+from .billiards import Model, PotentialSpec, _check_count
 from .errors import RegionError
 from .geometry import BoundaryCurve, node_symmetries
 
@@ -86,8 +86,9 @@ class NystromGrid:
 
     @classmethod
     def build(cls, curve: BoundaryCurve, N: int) -> "NystromGrid":
-        if N < 16 or N % 2 != 0:
-            raise ValueError("node count must be even and at least 16")
+        _check_count("node count N", N, 16)
+        if N % 2:
+            raise ValueError(f"node count N must be even, got {N}")
         if not curve.is_strictly_convex:
             warnings.warn(
                 "stadium boundary is only C^{1,1}; the spectral log-quadrature "

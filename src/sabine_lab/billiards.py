@@ -9,16 +9,17 @@ constant barrier the grid steps one orbit per class of grid points that the
 table's symmetries map onto each other (``geometry.node_symmetries``).
 
 Phase points are reported in arclength s, but the map steps in each curve's
-native parameter u (see geometry), so the ellipse's arclength map runs once
-per orbit or grid and not at every step.  One orbit takes the step on Python
-floats through math; the decay-rate grid takes the same formulas on numpy
-arrays, one call for all its orbits.
+native parameter u (see geometry), so the arclength map of a conic, the
+circle included, runs once per orbit or grid and not at every step.  One
+orbit takes the step on Python floats through math; the decay-rate grid takes
+the same formulas on numpy arrays, one call for all its orbits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,6 +44,13 @@ def _check_h(h: float) -> None:
     """The semiclassical scale every entry point takes: h in (0, 1)."""
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must lie in (0, 1), got {h}")
+
+
+def _check_count(name: str, value, floor: int) -> None:
+    """A count argument: an integer, not a float even when whole, of at least
+    floor."""
+    if not (isinstance(value, numbers.Integral) and value >= floor):
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 class Model(enum.Enum):
@@ -190,8 +198,7 @@ def iterate(curve: BoundaryCurve, q: PhasePoint, n_steps: int) -> list[OrbitSegm
     The orbit is carried in the curve's native parameter and reported in
     arclength, the start included, in [0, L).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_count("n_steps", n_steps, 1)
     q, frame = _start(curve, q)
     segments = []
     for index in range(n_steps):
@@ -297,10 +304,12 @@ def sabine_gap(curve: BoundaryCurve, h: float, pot: PotentialSpec, model: Model,
     if not (0.0 < delta1 < 1.0):
         raise ValueError("delta1 must lie in (0, 1)")
     n_s, n_xi = grid
-    if n_s < 16 or n_xi < 16:
-        raise ValueError("grid must be at least 16x16")
-    if n_average < 1:
-        raise ValueError("n_average must be at least 1")
+    _check_count("grid", n_s, 16)
+    _check_count("grid", n_xi, 16)
+    _check_count("n_average", n_average, 1)
+    if not 0.0 < escape_cap_factor < math.inf:
+        raise ValueError("escape_cap_factor must be finite and positive, "
+                         f"got {escape_cap_factor}")
     if model is Model.DELTA and pot.alpha >= 2.0 / 3.0:
         warnings.warn(
             "delta-barrier strength exponent alpha >= 2/3 exceeds the regime "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import specfun
-from .billiards import Model, PotentialSpec, _check_h
+from .billiards import Model, PotentialSpec, _check_count, _check_h
 from .errors import NewtonConditionError, NewtonConvergenceError, SabineLabError, WindowMissError
 
 logger = logging.getLogger(__name__)
@@ -298,9 +298,11 @@ def mode_sweep(h: float, pot: PotentialSpec, model: Model, n_max: int,
     the window is skipped silently; other per-mode failures are logged and
     skipped, never fatal; anchors stop at specfun.REGION_RE_MAX, and modes at
     the first glancing one, n >= 0.995 lam_hi, with one warning.  Inputs that
-    fail ``_check_inputs`` raise ValueError before any mode is tried.
+    fail ``_check_inputs``, or an n_max that is not an integer >= 0, raise
+    ValueError before any mode is tried.
     """
     _check_inputs(h, pot, model, window)
+    _check_count("n_max", n_max, 0)
     lo, hi = window
     if lo == hi:
         return []

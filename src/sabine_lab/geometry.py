@@ -13,19 +13,21 @@ only on the caps and c_x moves only on the straights, so both are sums of
 clipped linear functions of s, and a boundary point gives back c_x =
 clip(x, -l, l) and phi = atan2(y, x - c_x).
 
-The ellipse x = a cos t, y = b sin t has arclength s(t) = b E(t | 1 - a^2/b^2),
-the incomplete elliptic integral of the second kind (DLMF 19.2.5); the inverse
-t(s) is a monotone spline through s(t) at equispaced angles, polished by two
-Newton steps.
+The circle of radius r is the ellipse with a = b = r, and both take one conic
+construction.  The conic x = a cos t, y = b sin t has arclength s(t) =
+b E(t | 1 - a^2/b^2), the incomplete elliptic integral of the second kind
+(DLMF 19.2.5), which is r t to the bit when a = b (scipy gives E(t | 0) = t
+and E(0) = pi/2 exactly); the inverse t(s) is a monotone spline through s(t)
+at equispaced angles, polished by two Newton steps.
 
 Each curve also has a native parameter u in which its frame and its ray exit
-are closed-form: the polar angle on the circle, the angle t on the ellipse and
-the arclength itself on the stadium.  The billiard map steps in u, so an orbit
-maps s -> u once at its start and u -> s only where an arclength is reported
-or a profile is evaluated.  The native-parameter methods take a Python float
-(one orbit, through math) or a numpy array (a grid of orbits) and write each
-formula once for both.  All objects are immutable after construction, so
-every method is safe for concurrent reads.
+are closed-form: the angle t on a conic, which is the polar angle when a = b,
+and the arclength itself on the stadium.  The billiard map steps in u, so an
+orbit maps s -> u once at its start and u -> s only where an arclength is
+reported or a profile is evaluated.  The native-parameter methods take a
+Python float (one orbit, through math) or a numpy array (a grid of orbits)
+and write each formula once for both.  All objects are immutable after
+construction, so every method is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import TangentLaunchError, UnsupportedCurveKindError
 # relative to max(1, perimeter): the shortest travel a ray exit accepts, so a
 # boundary launch does not re-hit its own origin
 _GEOMETRIC_TOL = 1e-12
-_ELLIPSE_SPLINE_INTERVALS = 4096
+_CONIC_SPLINE_INTERVALS = 4096
 # diameter-chord starts on [0, L/2) of a round curve; a multiple of 4 has L/4
 _ROUND_DIAMETER_STARTS = 1024
 # from_spec's keys of each kind, in the order its constructor takes them
@@ -66,33 +68,35 @@ class BoundaryCurve:
     def __init__(self, kind: CurveKind, params: dict):
         self.kind = kind
         self.params = dict(params)
-        if kind is CurveKind.CIRCLE:
-            r = float(params["radius"])
-            if not 0.0 < r < math.inf:
-                raise ValueError(f"circle radius must be finite and positive, got {r}")
-            self.total_length = 2.0 * math.pi * r
-        elif kind is CurveKind.ELLIPSE:
-            a, b = float(params["a"]), float(params["b"])
-            if not (math.inf > a >= b > 0):
-                raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
-            # s(t) = b E(t | m) with the parameter m = 1 - a^2/b^2 <= 0 is one
-            # integral from t = 0, so s(0) = 0 and s(2pi) = total_length
-            # exactly, and it holds for every real t (s(t + 2pi) = s(t) +
-            # total_length).  The form a (E(t - pi/2 | 1 - b^2/a^2) + E(1 -
-            # b^2/a^2)) subtracts two equal terms at t = 0 and cancels there:
-            # it gives t(s = 0) = -4.4e-16 on the 2:1 ellipse.
-            self._m = 1.0 - (a / b) ** 2
-            self.total_length = 4.0 * b * float(special.ellipe(self._m))
-            t = np.linspace(0.0, 2.0 * math.pi, _ELLIPSE_SPLINE_INTERVALS + 1)
-            self._t_of_s_interp = PchipInterpolator(self._s_of_t(t), t)
-        elif kind is CurveKind.STADIUM:
+        if kind is CurveKind.STADIUM:
             l, rho = float(params["half_length"]), float(params["cap_radius"])
             if not (0.0 < l < math.inf and 0.0 < rho < math.inf):
                 raise ValueError("stadium requires finite positive half-length and cap "
                                  f"radius, got l={l}, r={rho}")
             self.total_length = 4.0 * l + 2.0 * math.pi * rho
+            return
+        if kind is CurveKind.CIRCLE:
+            r = float(params["radius"])
+            if not 0.0 < r < math.inf:
+                raise ValueError(f"circle radius must be finite and positive, got {r}")
+            a = b = r
+        elif kind is CurveKind.ELLIPSE:
+            a, b = float(params["a"]), float(params["b"])
+            if not (math.inf > a >= b > 0):
+                raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
         else:
             raise UnsupportedCurveKindError(f"unknown curve kind {kind}")
+        # the circle is the conic a = b.  s(t) = b E(t | m) with the
+        # parameter m = 1 - a^2/b^2 <= 0 is one integral from t = 0, so s(0) =
+        # 0 and s(2pi) = total_length exactly, and it holds for every real t
+        # (s(t + 2pi) = s(t) + total_length).  The form a (E(t - pi/2 | 1 -
+        # b^2/a^2) + E(1 - b^2/a^2)) subtracts two equal terms at t = 0 and
+        # cancels there: it gives t(s = 0) = -4.4e-16 on the 2:1 ellipse.
+        self._axes = (a, b)
+        self._m = 1.0 - (a / b) ** 2
+        self.total_length = 4.0 * b * float(special.ellipe(self._m))
+        t = np.linspace(0.0, 2.0 * math.pi, _CONIC_SPLINE_INTERVALS + 1)
+        self._t_of_s_interp = PchipInterpolator(self._s_of_t(t), t)
 
     # -- constructors -------------------------------------------------------
 
@@ -146,18 +150,19 @@ class BoundaryCurve:
     def is_strictly_convex(self) -> bool:
         return self.kind is not CurveKind.STADIUM
 
-    # -- ellipse parametrization -------------------------------------------
+    # -- conic parametrization ---------------------------------------------
 
     def _speed(self, t):
-        """Ellipse speed |d(a cos t, b sin t)/dt|."""
-        return np.hypot(self.params["a"] * np.sin(t), self.params["b"] * np.cos(t))
+        """Conic speed |d(a cos t, b sin t)/dt|."""
+        a, b = self._axes
+        return np.hypot(a * np.sin(t), b * np.cos(t))
 
     def _s_of_t(self, t):
-        """Arclength of ellipse parameter t, for any real t (vectorized)."""
-        return self.params["b"] * special.ellipeinc(t, self._m)
+        """Arclength of the conic parameter t, for any real t (vectorized)."""
+        return self._axes[1] * special.ellipeinc(t, self._m)
 
     def _t_of_s(self, s):
-        """Ellipse parameter of arclength s: monotone spline + Newton polish."""
+        """Conic parameter of arclength s: monotone spline + Newton polish."""
         s = _wrap(np.asarray(s, dtype=float), self.total_length)
         t = np.asarray(self._t_of_s_interp(s), dtype=float)
         for _ in range(2):
@@ -168,18 +173,15 @@ class BoundaryCurve:
 
     def _u_of_s(self, s):
         """Native parameter of arclength s (wrapped modulo total_length)."""
-        if self.kind is CurveKind.ELLIPSE:
-            return self._t_of_s(s)
-        s = _wrap(s, self.total_length)
-        return s / self.params["radius"] if self.kind is CurveKind.CIRCLE else s
+        if self.kind is CurveKind.STADIUM:
+            return _wrap(s, self.total_length)
+        return self._t_of_s(s)
 
     def _s_of_u(self, u):
         """Arclength in [0, total_length) of the native parameter u."""
-        if self.kind is CurveKind.CIRCLE:
-            return _wrap(self.params["radius"] * u, self.total_length)
-        if self.kind is CurveKind.ELLIPSE:
-            return _wrap(self._s_of_t(u), self.total_length)
-        return u
+        if self.kind is CurveKind.STADIUM:
+            return u
+        return _wrap(self._s_of_t(u), self.total_length)
 
     def _frame(self, u):
         """Position and unit tangent (x, y, tx, ty) at the native parameter u.
@@ -187,12 +189,8 @@ class BoundaryCurve:
         The outward normal is (ty, -tx).
         """
         xp = math_or_numpy(u)
-        if self.kind is CurveKind.CIRCLE:
-            r = self.params["radius"]
-            c, sn = xp.cos(u), xp.sin(u)
-            return r * c, r * sn, -sn, c
-        if self.kind is CurveKind.ELLIPSE:
-            a, b = self.params["a"], self.params["b"]
+        if self.kind is not CurveKind.STADIUM:
+            a, b = self._axes
             c, sn = xp.cos(u), xp.sin(u)
             sp = xp.hypot(a * sn, b * c)
             return a * c, b * sn, -a * sn / sp, b * c / sp
@@ -228,21 +226,22 @@ class BoundaryCurve:
             travel = self._stadium_travel(x, y, dx, dy)
             u = self._stadium_s_of_point(x + travel * dx, y + travel * dy)
         else:
-            # larger root of qa t^2 + 2 qb t + qc = 0, where the ray crosses
-            # (x/a)^2 + (y/b)^2 = 1; the other root is <= 0.  On the circle
-            # qa = 1 exactly, since the direction is a unit vector.
-            if self.kind is CurveKind.CIRCLE:
-                a = b = self.params["radius"]
-                qa, qb, qc = 1.0, x * dx + y * dy, x * x + y * y - a * a
-            else:
-                a, b = self.params["a"], self.params["b"]
-                ox, oy, ex, ey = x / a, y / b, dx / a, dy / b
-                qa, qb, qc = ex * ex + ey * ey, ox * ex + oy * ey, ox * ox + oy * oy - 1.0
-            disc = qb * qb - qa * qc
+            # in the coordinates (x/a, y/b) the conic is the unit circle.
+            # There the start is o and the direction (dx/a, dy/b) has length
+            # n; with e that direction made unit, the exit is the far root
+            # tau of |o + tau e|^2 = 1 (the other is <= 0), and the ray
+            # travels tau / n in the plane
+            a, b = self._axes
+            ox, oy, ex, ey = x / a, y / b, dx / a, dy / b
+            n = xp.sqrt(ex * ex + ey * ey)
+            ex, ey = ex / n, ey / n
+            q = ox * ex + oy * ey
+            disc = q * q - (ox * ox + oy * oy - 1.0)
             # a tangent launch may round disc below 0; it then fails the
             # travel check below instead of the square root
-            travel = (xp.sqrt(disc * (disc > 0)) - qb) / qa
-            u = xp.atan2((y + travel * dy) / b, (x + travel * dx) / a) % (2.0 * math.pi)
+            tau = xp.sqrt(disc * (disc > 0)) - q
+            u = xp.atan2(oy + tau * ey, ox + tau * ex) % (2.0 * math.pi)
+            travel = tau / n
         ok = travel > _GEOMETRIC_TOL * max(1.0, self.total_length)
         if not (ok if xp is math else ok.all()):
             raise TangentLaunchError(
@@ -305,17 +304,15 @@ class BoundaryCurve:
         """Largest boundary-pair distance d and the arclengths s whose chord to
         s + L/2 has length d, as (d, starts).
 
-        On a round curve (a circle, or an ellipse with a == b) every
-        antipodal chord has length d, and
-        starts samples [0, L/2) at _ROUND_DIAMETER_STARTS equispaced points.
-        Otherwise the one start is 0 on the ellipse (its major axis) and
-        pi rho / 2, the point (l + rho, 0), on the stadium.
+        On a round curve (a circle, the conic a == b) every antipodal chord
+        has length d, and starts samples [0, L/2) at _ROUND_DIAMETER_STARTS
+        equispaced points.  Otherwise the one start is 0 on the ellipse (its
+        major axis) and pi rho / 2, the point (l + rho, 0), on the stadium.
         """
         if self.kind is CurveKind.STADIUM:
             l, rho = self.params["half_length"], self.params["cap_radius"]
             return 2.0 * (l + rho), np.array([0.5 * math.pi * rho])
-        a, b = ((self.params["radius"],) * 2 if self.kind is CurveKind.CIRCLE
-                else (self.params["a"], self.params["b"]))
+        a, b = self._axes
         n = _ROUND_DIAMETER_STARTS if a == b else 1
         return 2.0 * a, 0.5 * self.total_length * np.arange(n) / n
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bie import NystromGrid, block_function, sigma_min_boundary_operator
-from .billiards import Model, PotentialSpec, _check_h, sabine_gap
+from .billiards import Model, PotentialSpec, _check_count, _check_h, sabine_gap
 from .disk_oracle import BieProvenance, ResonanceCandidate, _dedup
 from .errors import NotAResonanceError, SabineLabError
 from .geometry import BoundaryCurve
@@ -73,8 +73,8 @@ class SearchWindow:
                 f"-{strip:.6g} = -{_STRIP_FACTOR:g} h log(1/h)"
             )
         nx, ny = self.coarse_grid
-        if nx < 1 or ny < 1:
-            raise ValueError("coarse_grid must be at least 1x1")
+        _check_count("coarse_grid", nx, 1)
+        _check_count("coarse_grid", ny, 1)
 
     def contains(self, z: complex) -> bool:
         return (self.re_range[0] <= z.real <= self.re_range[1]

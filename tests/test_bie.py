@@ -55,6 +55,9 @@ def test_grid_validation(unit_circle):
         bie.NystromGrid.build(unit_circle, 15)
     with pytest.raises(ValueError):
         bie.NystromGrid.build(unit_circle, 14)
+    # a whole float is not a node count: numpy would fail on it later
+    with pytest.raises(ValueError, match="node count"):
+        bie.NystromGrid.build(unit_circle, 256.0)
 
 
 def test_circle_diagonalization(unit_circle):

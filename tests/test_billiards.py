@@ -124,8 +124,10 @@ def test_orbit_start_reported_in_one_period(unit_circle, s0, start):
 
 
 def test_iterate_requires_a_step(unit_circle):
-    with pytest.raises(ValueError, match="n_steps"):
-        bl.iterate(unit_circle, PhasePoint(0.3, 0.4), 0)
+    # a whole count of steps: 2.5 would fail in range, after the start
+    for n_steps in (0, 2.5):
+        with pytest.raises(ValueError, match="n_steps"):
+            bl.iterate(unit_circle, PhasePoint(0.3, 0.4), n_steps)
 
 
 def test_phase_point_rejects_non_finite_s():
@@ -175,11 +177,14 @@ def test_xi_conservation_long_orbit(unit_circle):
 @pytest.mark.parametrize("s0, xi0", [(1.0, -0.7), (0.1, -0.2), (0.5, 0.05)])
 def test_xi_drift_at_most_linear(unit_circle, s0, xi0):
     # xi is the same at every bounce, so its rounding bias repeats and the
-    # drift grows linearly with the orbit length: n eps bounds it at n steps
+    # drift grows linearly with the orbit length: n eps bounds it at n steps.
+    # The ray exit divides by the radius, so a radius other than 1 is stepped
+    # too
     n = 10_000
-    segs = bl.iterate(unit_circle, PhasePoint(s0, xi0), n)
-    drift = max(abs(seg.end.xi - xi0) for seg in segs)
-    assert drift <= n * np.finfo(float).eps
+    for curve in (unit_circle, BoundaryCurve.circle(2.5)):
+        segs = bl.iterate(curve, PhasePoint(s0, xi0), n)
+        drift = max(abs(seg.end.xi - xi0) for seg in segs)
+        assert drift <= n * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("l, rho", [(1.0, 1.0), (0.3, 2.7), (5.0, 0.2), (1e-3, 1.0),
@@ -538,11 +543,20 @@ def test_sabine_gap_grid_validation(unit_circle):
         bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, grid=(8, 8))
     with pytest.raises(ValueError):
         bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, delta1=1.5)
+    # grid counts are integers, or linspace fails after the checks
+    for grid in [(20.5, 20), (20, 20.5), (64.0, 64)]:
+        with pytest.raises(ValueError, match="grid"):
+            bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, grid=grid)
+    # a nan factor would report bound nan as capped, where the default
+    # factor raises AllOrbitsEscapeError
+    for factor in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="escape_cap_factor"):
+            bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, escape_cap_factor=factor)
 
 
 def test_sabine_gap_rejects_empty_average(unit_circle):
     # no orbit length N >= 1 to take the supremum over: the bound would be -inf
-    for n_average in (0, -1):
+    for n_average in (0, -1, 2.5):
         with pytest.raises(ValueError, match="n_average"):
             bl.sabine_gap(unit_circle, 0.1, POT1, Model.DELTA, n_average=n_average)
 

@@ -330,13 +330,17 @@ def test_mode_sweep_empty_window():
 
 
 def test_mode_sweep_rejects_a_decreasing_window(monkeypatch):
-    # LO > HI is an input error, not an empty window
+    # LO > HI is an input error, not an empty window; so is an n_max that is
+    # negative (it returned []) or fractional (range failed on it)
     def no_solve(*args):
         raise AssertionError("a mode was solved")
 
     monkeypatch.setattr(do, "_solve_mode", no_solve)
     with pytest.raises(ValueError, match="LO <= HI"):
         do.mode_sweep(0.05, POT1, Model.DELTA, 3, window=(1.1, 0.9))
+    for n_max in (-3, 2.5, 3.0):
+        with pytest.raises(ValueError, match="n_max"):
+            do.mode_sweep(0.1, POT1, Model.DELTA, n_max, window=(0.9, 1.1))
 
 
 def test_mode_sweep_sorted_and_deduplicated():

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from sabine_lab import bie
+from sabine_lab import billiards as bl
 from sabine_lab.errors import TangentLaunchError, UnsupportedCurveKindError
 from sabine_lab.geometry import BoundaryCurve
 
@@ -173,6 +175,29 @@ def test_diameter_stadium_brute_force(stadium11):
     brute = np.sqrt((diff**2).sum(-1)).max()
     assert brute <= d + 1e-12
     assert brute > d - 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:lambda\\*diameter")
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_circle_is_the_round_ellipse(r):
+    # the circle is the conic a = b = r: both spellings of one shape give
+    # the same bits in every layer, from the frames to the boundary operator
+    circle = BoundaryCurve.from_spec(f"circle:r={r}")
+    ellipse = BoundaryCurve.from_spec(f"ellipse:a={r},b={r}")
+    assert circle.total_length == ellipse.total_length
+    s = np.linspace(0.0, circle.total_length, 1000, endpoint=False)
+    frames = [c._frame(c._u_of_s(s)) for c in (circle, ellipse)]
+    assert all(np.array_equal(a, b) for a, b in zip(*frames))
+    q = bl.PhasePoint(0.3, 0.4321)
+    assert bl.iterate(circle, q, 500) == bl.iterate(ellipse, q, 500)
+    pot = bl.PotentialSpec(1.0, 0.0)
+    assert (bl.sabine_gap(circle, 0.1, pot, bl.Model.DELTA)
+            == bl.sabine_gap(ellipse, 0.1, pot, bl.Model.DELTA))
+    grids = [bie.NystromGrid.build(c, 128) for c in (circle, ellipse)]
+    assert np.array_equal(grids[0].dist, grids[1].dist)
+    assert np.array_equal(grids[0].group, grids[1].group)
+    sigma = [bie.sigma_min_boundary_operator(g, 1.0 - 0.1j, 0.1, pot) for g in grids]
+    assert sigma[0] == sigma[1]
 
 
 def test_diameter_invariant_under_radius_scaling():

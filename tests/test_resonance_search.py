@@ -28,9 +28,11 @@ def test_window_validation():
         with pytest.raises(ValueError, match="must be positive"):
             rs.SearchWindow(re_range=(re_lo, 0.1), im_range=(-0.2, -0.02),
                             coarse_grid=(3, 3), h=0.1, quad_n=64)
-    with pytest.raises(ValueError, match="coarse_grid"):
-        rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.1),
-                        coarse_grid=(0, 4), h=0.1, quad_n=64)
+    for grid in [(0, 4), (2.5, 3), (3, 2.5)]:
+        # a fractional count would only fail later, in the scan
+        with pytest.raises(ValueError, match="coarse_grid"):
+            rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-0.2, -0.1),
+                            coarse_grid=grid, h=0.1, quad_n=64)
     with pytest.raises(ValueError):
         # below the logarithmic strip -8 h log(1/h) = -1.84
         rs.SearchWindow(re_range=(0.9, 1.1), im_range=(-5.0, -0.1),
